@@ -2,25 +2,22 @@
 
 from .annealing import RunOutcome, SolverParams, acceptance_probability, run_sa_flip
 from .ber import (
-    AggregatedScores,
     BerReport,
     PairingError,
     ResultMatrix,
-    aggregate_matrix,
-    auroc_identity_check,
-    ber_aggregated,
     ber_grouped,
     ber_pairwise,
     success_rate,
 )
 from .cnf import CnfFormula, DimacsError, EvalState, parse_dimacs, serialize_dimacs
-from .flip import FlipOutcome, flip
+from .flip import FlipOutcome
 from .placebo import run_placebo_flip
 
 __version__ = "0.1.0"
 
+# The Flip subroutine is `saflip.flip.flip`; re-exporting it here would
+# shadow the `saflip.flip` submodule.
 __all__ = [
-    "AggregatedScores",
     "BerReport",
     "CnfFormula",
     "DimacsError",
@@ -31,12 +28,8 @@ __all__ = [
     "RunOutcome",
     "SolverParams",
     "acceptance_probability",
-    "aggregate_matrix",
-    "auroc_identity_check",
-    "ber_aggregated",
     "ber_grouped",
     "ber_pairwise",
-    "flip",
     "parse_dimacs",
     "run_placebo_flip",
     "run_sa_flip",

@@ -56,7 +56,10 @@ class RunOutcome:
     min_evaluated_score: float = float("nan")
 
     def __post_init__(self):
-        assert self.solved == (self.best_score == 0.0)
+        if self.solved != (self.best_score == 0.0):
+            raise ValueError(
+                f"solved={self.solved} contradicts best_score={self.best_score}"
+            )
 
     def same_result(self, other):
         """Equality ignoring wall time."""

@@ -10,8 +10,7 @@ at report time.
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,14 +19,21 @@ class PairingError(ValueError):
     """The two result matrices do not describe the same paired experiment."""
 
 
-def _sorted_groups(keys):
+def group_rows(group_keys):
+    """(label, row indices) for each distinct group key, numerically sorted,
+    then ("overall", every row)."""
+
     def order(g):
         try:
             return (0, float(g), "")
         except (TypeError, ValueError):
             return (1, 0.0, str(g))
 
-    return sorted(set(keys), key=order)
+    groups = [
+        (str(g), [i for i, key in enumerate(group_keys) if key == g])
+        for g in sorted(set(group_keys), key=order)
+    ]
+    return groups + [("overall", list(range(len(group_keys))))]
 
 
 @dataclass
@@ -148,89 +154,21 @@ def ber_grouped(ym, y0, delta):
     if delta < 0:
         raise ValueError("delta must be non-negative")
     check_paired(ym, y0)
-    reports = []
-    for g in _sorted_groups(ym.group_keys):
-        idx = [i for i, k in enumerate(ym.group_keys) if k == g]
-        reports.append(
-            _make_report(
-                [ym.scores[i] for i in idx],
-                [y0.scores[i] for i in idx],
-                delta,
-                str(g),
-            )
+    return [
+        _make_report(
+            [ym.scores[i] for i in idx], [y0.scores[i] for i in idx], delta, label
         )
-    reports.append(_make_report(ym.scores, y0.scores, delta, "overall"))
-    return reports
-
-
-@dataclass(frozen=True)
-class AggregatedScores:
-    """One score per instance, e.g. a per-instance mean over runs."""
-
-    z: tuple
-    aggregator_name: str = "mean"
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", tuple(float(v) for v in self.z))
-
-
-def aggregate_matrix(matrix, aggregator=np.mean, name="mean"):
-    return AggregatedScores(
-        z=tuple(float(aggregator(row)) for row in matrix.scores),
-        aggregator_name=name,
-    )
-
-
-def ber_aggregated(zm, z0, delta, group="overall"):
-    """BER over per-instance aggregated scores: one elementwise comparison
-    per instance instead of the n^2 run pairs."""
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    if len(zm.z) != len(z0.z):
-        raise ValueError(f"length mismatch: {len(zm.z)} vs {len(z0.z)}")
-    l = len(zm.z)
-    b_count = sum(1 for a, b in zip(zm.z, z0.z) if a < b - delta)
-    r_count = sum(1 for a, b in zip(zm.z, z0.z) if a > b + delta)
-    e_count = l - b_count - r_count
-    return BerReport(
-        delta=delta,
-        b=b_count / l,
-        e=e_count / l,
-        r=r_count / l,
-        comparisons=l,
-        group=group,
-        b_count=b_count,
-        e_count=e_count,
-        r_count=r_count,
-    )
+        for label, idx in group_rows(ym.group_keys)
+    ]
 
 
 def success_rate(matrix):
     """Fraction of runs with score exactly 0, per group key plus overall."""
     rates = {}
-    for g in _sorted_groups(matrix.group_keys):
-        idx = [i for i, k in enumerate(matrix.group_keys) if k == g]
+    for label, idx in group_rows(matrix.group_keys):
         cells = [y for i in idx for y in matrix.scores[i]]
-        rates[str(g)] = sum(1 for y in cells if y == 0.0) / len(cells)
-    all_cells = [y for row in matrix.scores for y in row]
-    rates["overall"] = sum(1 for y in all_cells if y == 0.0) / len(all_cells)
+        rates[label] = sum(1 for y in cells if y == 0.0) / len(cells)
     return rates
-
-
-def auroc_identity_check(ym, y0):
-    """At delta = 0 the benefit mass is the empirical AUROC mass of strict
-    wins, the equivalence mass is exactly the tie mass, and the three masses
-    partition all comparisons.  Returns the masses and the exact-count check.
-    """
-    report = ber_pairwise(ym, y0, 0.0)
-    return {
-        "auroc_strict_win_mass": report.b,
-        "tie_mass": report.e,
-        "loss_mass": report.r,
-        "counts_sum_exact": report.b_count + report.e_count + report.r_count
-        == report.comparisons,
-        "comparisons": report.comparisons,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +208,14 @@ def read_result_csv(path):
             if iid not in rows:
                 rows[iid] = {"group": rec["group"], "cells": {}}
                 order.append(iid)
-            rows[iid]["cells"][int(rec["run_index"])] = (
-                int(rec["seed"]),
-                float(rec["y"]),
-            )
+            cells = rows[iid]["cells"]
+            j = int(rec["run_index"])
+            if j in cells:
+                raise ValueError(
+                    f"{path}: line {reader.line_num}: duplicate run {j} "
+                    f"of instance {iid!r}"
+                )
+            cells[j] = (int(rec["seed"]), float(rec["y"]))
             label = rec["algorithm"]
     instance_ids, group_keys, seeds, scores = [], [], [], []
     for iid in order:
@@ -292,27 +234,6 @@ def read_result_csv(path):
     )
 
 
-def matrix_to_json(matrix, metadata=None):
-    return {
-        "metadata": metadata or {},
-        "algorithm": matrix.algorithm_label,
-        "instance_ids": list(matrix.instance_ids),
-        "groups": list(matrix.group_keys),
-        "seeds": [list(r) for r in matrix.seeds],
-        "scores": [list(r) for r in matrix.scores],
-    }
-
-
-def matrix_from_json(doc):
-    return ResultMatrix(
-        instance_ids=list(doc["instance_ids"]),
-        group_keys=list(doc["groups"]),
-        seeds=[list(r) for r in doc["seeds"]],
-        scores=[list(r) for r in doc["scores"]],
-        algorithm_label=doc.get("algorithm", ""),
-    )
-
-
 def write_ber_csv(reports, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -322,8 +243,3 @@ def write_ber_csv(reports, path):
                 [rep.group, rep.delta, rep.b, rep.e, rep.r, rep.comparisons]
             )
 
-
-def write_ber_json(reports, path):
-    with open(path, "w") as fh:
-        json.dump([rep.as_dict() for rep in reports], fh, indent=2)
-        fh.write("\n")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import statistics
 import sys
@@ -17,8 +18,13 @@ import urllib.request
 from pathlib import Path
 
 from . import doe, harness
-from .annealing import run_sa_flip
-from .ber import check_paired, read_result_csv, write_ber_csv, write_result_csv
+from .ber import (
+    ber_grouped,
+    check_paired,
+    read_result_csv,
+    write_ber_csv,
+    write_result_csv,
+)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -167,8 +173,6 @@ def cmd_ber(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
-    from .ber import ber_grouped
-
     for delta in deltas:
         reports = ber_grouped(ym, y0, delta)
         path = out_dir / f"ber_{delta:.4f}.csv"
@@ -199,28 +203,13 @@ def cmd_report(args):
     return EXIT_OK
 
 
-def _tuning_evaluator(instances, n_runs, master_seed, blocked, counter):
-    """Mean score of the annealer over the tuning instances.
-
-    With `blocked` seeds every parameter setting reuses the same seed list
-    (common random numbers); otherwise each evaluator call draws a fresh
-    block of seeds keyed by an incrementing counter.
-    """
-
-    def evaluate(params):
-        block = 0 if blocked else counter[0]
-        counter[0] += 1
-        ys = []
-        for inst in instances:
-            for j in range(n_runs):
-                seed = harness.derive_seed(master_seed, inst.digest, block * n_runs + j)
-                outcome = run_sa_flip(
-                    inst.formula, dataclasses.replace(params, seed=seed)
-                )
-                ys.append(outcome.best_score)
-        return statistics.fmean(ys)
-
-    return evaluate
+def _mean_score(plan):
+    """Mean SA score over every cell of the plan, run by the harness at
+    jobs=1 without a journal; a failed cell raises."""
+    matrices, failed = harness.execute(plan, algorithms=("sa",))
+    if failed:
+        raise RuntimeError(f"failed cells (instance, run): {failed}")
+    return statistics.fmean(y for row in matrices["sa"].scores for y in row)
 
 
 def cmd_tune(args):
@@ -228,31 +217,32 @@ def cmd_tune(args):
         config = _load_config(args.config)
         if args.seed is not None:
             config.master_seed = args.seed
-        plan, bset = config.build_plan()
+        plan, _ = config.build_plan()
+        plan = dataclasses.replace(plan, n_runs=args.runs)
     except (ValueError, harness.BenchmarkError) as exc:
         _err(f"config error: {exc}")
         return EXIT_USAGE
-    instances = plan.instances
     out_dir = Path(args.out or config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    counter = [1]
 
     if args.phase == "screen":
+        # Common random numbers: every row uses run indices 0..runs-1.
         design = doe.box_behnken_4(center_points=args.center_points)
-        evaluate = _tuning_evaluator(
-            instances, args.runs, config.master_seed, blocked=True, counter=counter
-        )
         responses = []
         journal = []
-        for row, params in zip(design.coded_rows, design.decoded):
-            y = evaluate(params)
-            responses.append(y)
-            journal.append({
-                "coded": list(row),
-                "params": dataclasses.asdict(params),
-                "mean_y": y,
-            })
-            _err(f"screen row {row}: mean y = {y:.6f}")
+        try:
+            for row, params in zip(design.coded_rows, design.decoded):
+                y = _mean_score(dataclasses.replace(plan, params=params))
+                responses.append(y)
+                journal.append({
+                    "coded": list(row),
+                    "params": dataclasses.asdict(params),
+                    "mean_y": y,
+                })
+                _err(f"screen row {row}: mean y = {y:.6f}")
+        except RuntimeError as exc:
+            _err(f"tuning failed: {exc}")
+            return EXIT_RUNTIME
         effects = doe.estimate_effects(design, responses)
         doc = {
             "design": "box-behnken-4",
@@ -271,26 +261,30 @@ def cmd_tune(args):
         _emit({"screening": str(path)})
         return EXIT_OK
 
-    # RSM phase: fresh seeds per design row.
-    evaluate = _tuning_evaluator(
-        instances, args.runs, config.master_seed, blocked=False, counter=counter
-    )
-    start = config.params
+    # RSM phase: evaluation b = 1, 2, ... runs on the fresh seed block
+    # b*runs .. b*runs + runs-1 (block 0 is the screen's).
+    blocks = itertools.count(1)
+
+    def evaluate(params):
+        first_run = next(blocks) * args.runs
+        return _mean_score(
+            dataclasses.replace(plan, params=params, first_run=first_run)
+        )
+
+    trace_path = out_dir / "rsm_trace.json"
     try:
         trace, final = doe.rsm_walk(
-            start,
+            config.params,
             budget_limit=args.budget_limit,
             evaluator=evaluate,
             dead_band=args.dead_band,
         )
     except doe.RsmEvaluationError as exc:
-        path = out_dir / "rsm_trace.json"
-        path.write_text(
+        trace_path.write_text(
             json.dumps([s.as_dict() for s in exc.trace], indent=2) + "\n"
         )
-        _err(f"tuning failed ({exc}); partial trace at {path}")
+        _err(f"tuning failed ({exc}); partial trace at {trace_path}")
         return EXIT_RUNTIME
-    trace_path = out_dir / "rsm_trace.json"
     trace_path.write_text(json.dumps([s.as_dict() for s in trace], indent=2) + "\n")
     params_path = out_dir / "tuned_params.json"
     params_path.write_text(

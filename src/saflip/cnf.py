@@ -146,22 +146,19 @@ class EvalState:
 
     __slots__ = ("formula", "values", "sat_counts", "unsat_count", "_pos", "_neg")
 
-    def __init__(self, formula, values, _shared_index=None):
+    def __init__(self, formula, values):
         if len(values) != formula.num_vars:
             raise ValueError(
                 f"assignment length {len(values)} != num_vars {formula.num_vars}"
             )
         self.formula = formula
         self.values = list(values)
-        if _shared_index is None:
-            pos = [[] for _ in range(formula.num_vars + 1)]
-            neg = [[] for _ in range(formula.num_vars + 1)]
-            for ci, clause in enumerate(formula.clauses):
-                for lit in clause:
-                    (pos if lit > 0 else neg)[abs(lit)].append(ci)
-            self._pos, self._neg = pos, neg
-        else:
-            self._pos, self._neg = _shared_index
+        pos = [[] for _ in range(formula.num_vars + 1)]
+        neg = [[] for _ in range(formula.num_vars + 1)]
+        for ci, clause in enumerate(formula.clauses):
+            for lit in clause:
+                (pos if lit > 0 else neg)[abs(lit)].append(ci)
+        self._pos, self._neg = pos, neg
         self._recount()
 
     def _recount(self):

@@ -81,7 +81,6 @@ class DesignMatrix:
     design_name: str
     coded_rows: tuple  # rows of 4 coded levels
     decoded: tuple  # SolverParams per row (seed left at 0)
-    blocks: tuple = ()
 
     def __post_init__(self):
         if len(self.coded_rows) != len(self.decoded):
@@ -120,7 +119,11 @@ def box_behnken_4(factors=None, center_points=3):
 
 def fractional_factorial_2_4_1(center, half_distances=None):
     """8-run half-fraction of the 2^4 factorial with generator D = ABC
-    (resolution IV), centered on `center` with the given half-distances."""
+    (resolution IV), centered on `center` with the given half-distances.
+
+    Main effects are clear of two-factor interactions, but the two-factor
+    interactions are aliased in pairs: t0*alpha with m_steps*mni, t0*m_steps
+    with alpha*mni, and t0*mni with alpha*m_steps."""
     if half_distances is None:
         half_distances = DEFAULT_HALF_DISTANCES
     hd = [float(half_distances[name]) for name in FACTOR_NAMES]
@@ -154,20 +157,11 @@ def fractional_factorial_2_4_1(center, half_distances=None):
     return DesignMatrix("fractional-factorial-2^(4-1)", tuple(rows), tuple(decoded))
 
 
-# Two-factor interactions of the resolution-IV fraction are aliased in pairs.
-ALIAS_PAIRS = (
-    (("t0", "alpha"), ("m_steps", "mni")),
-    (("t0", "m_steps"), ("alpha", "mni")),
-    (("t0", "mni"), ("alpha", "m_steps")),
-)
-
-
 @dataclass(frozen=True)
 class EffectReport:
     intercept: float
     main_effects: dict
     interactions: dict
-    aliases: tuple = ALIAS_PAIRS
 
 
 def estimate_effects(design, responses):

@@ -16,13 +16,7 @@ from pathlib import Path
 
 from . import plots
 from .annealing import SolverParams, run_sa_flip
-from .ber import (
-    ResultMatrix,
-    _sorted_groups,
-    ber_grouped,
-    success_rate,
-    write_ber_csv,
-)
+from .ber import ResultMatrix, ber_grouped, group_rows, success_rate, write_ber_csv
 from .cnf import CnfFormula, parse_dimacs
 from .placebo import run_placebo_flip
 
@@ -200,6 +194,9 @@ class ExperimentPlan:
     master_seed: int = 0
     deltas: tuple = DEFAULT_DELTAS
     params: SolverParams = field(default_factory=SolverParams)
+    # Run j of the plan uses run index first_run + j for its seed, so that
+    # successive tuning evaluations can draw fresh seed blocks.
+    first_run: int = 0
 
     def __post_init__(self):
         if not self.instances:
@@ -211,7 +208,10 @@ class ExperimentPlan:
     def seed_matrix(self):
         """l x n matrix of run seeds, identical for both algorithms."""
         return [
-            [derive_seed(self.master_seed, inst.digest, j) for j in range(self.n_runs)]
+            [
+                derive_seed(self.master_seed, inst.digest, self.first_run + j)
+                for j in range(self.n_runs)
+            ]
             for inst in self.instances
         ]
 
@@ -249,10 +249,7 @@ def execute(plan, algorithms=("sa", "placebo"), jobs=1, journal_path=None,
     if journal_path:
         journal_path = Path(journal_path)
         if journal_path.exists():
-            for line in journal_path.read_text().splitlines():
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
+            for rec in _read_journal(journal_path):
                 done[(rec["algorithm"], rec["instance_id"], rec["run_index"])] = rec
         journal_file = open(journal_path, "a")
 
@@ -323,6 +320,19 @@ def execute(plan, algorithms=("sa", "placebo"), jobs=1, journal_path=None,
     return matrices, failed
 
 
+def _read_journal(path):
+    """Records of a journal file.  A record is complete only with its
+    newline; an unterminated last line (a crash mid-write) is cut off the
+    file so its cell runs again.  A malformed complete line still raises."""
+    data = path.read_bytes()
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(end)
+    lines = data[:end].decode().splitlines()
+    return [json.loads(line) for line in lines if line.strip()]
+
+
 def _run_cell_safe(job):
     try:
         return _run_cell(job)
@@ -362,38 +372,26 @@ def summarize(ym, y0, deltas=DEFAULT_DELTAS, out_dir=None, bins=20):
     return summary
 
 
+def _group_cells(matrix):
+    """{group label: every score of the group's rows}, plus "overall"."""
+    return {
+        label: [y for i in idx for y in matrix.scores[i]]
+        for label, idx in group_rows(matrix.group_keys)
+    }
+
+
 def _group_means(matrix):
-    means = {}
-    for g in _sorted_groups(matrix.group_keys):
-        cells = [
-            y
-            for i, key in enumerate(matrix.group_keys)
-            if key == g
-            for y in matrix.scores[i]
-        ]
-        means[str(g)] = sum(cells) / len(cells)
-    all_cells = [y for row in matrix.scores for y in row]
-    means["overall"] = sum(all_cells) / len(all_cells)
-    return means
+    return {
+        label: sum(cells) / len(cells) for label, cells in _group_cells(matrix).items()
+    }
 
 
 def _write_plot_outputs(ym, y0, out_dir, bins):
     plot_dir = Path(out_dir) / "plots"
     labels = (ym.algorithm_label or "sa", y0.algorithm_label or "placebo")
-    groups = ["overall"] + [str(g) for g in _sorted_groups(ym.group_keys)]
-    for group in groups:
-        series = {}
-        for label, matrix in zip(labels, (ym, y0)):
-            if group == "overall":
-                values = [y for row in matrix.scores for y in row]
-            else:
-                values = [
-                    y
-                    for i, key in enumerate(matrix.group_keys)
-                    if str(key) == group
-                    for y in matrix.scores[i]
-                ]
-            series[label] = values
+    cells = [_group_cells(ym), _group_cells(y0)]
+    for group in cells[0]:
+        series = {label: by_group[group] for label, by_group in zip(labels, cells)}
         tag = group.replace(" ", "_")
         (plot_dir / f"ecdf_{tag}.svg").write_text(
             plots.ecdf_svg(series, title=f"ECDF of scores ({group})")

@@ -1,10 +1,20 @@
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from saflip.annealing import SolverParams, acceptance_probability, run_sa_flip
+import saflip
+from saflip.annealing import (
+    RunOutcome,
+    SolverParams,
+    acceptance_probability,
+    run_sa_flip,
+)
 from saflip.cnf import CnfFormula, EvalState
 
 from conftest import PINNED, random_3cnf
@@ -60,6 +70,32 @@ class TestSolverParams:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverParams(**kwargs)
+
+
+class TestRunOutcome:
+    @pytest.mark.parametrize("solved, score", [(True, 0.5), (False, 0.0)])
+    def test_inconsistent_solved_rejected(self, solved, score):
+        with pytest.raises(ValueError, match="contradicts"):
+            RunOutcome((0,), score, 1, 0, solved, 0.0)
+
+    def test_check_holds_under_optimize_flag(self):
+        # `python -O` strips asserts; the consistency check must not be one.
+        code = (
+            "if __debug__: raise SystemExit(2)\n"
+            "from saflip.annealing import RunOutcome\n"
+            "try:\n"
+            "    RunOutcome((0,), 0.5, 1, 0, True, 0.0)\n"
+            "except ValueError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = str(Path(saflip.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH", "")) if p
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
+        assert proc.returncode == 0
 
 
 class TestRunSaFlip:

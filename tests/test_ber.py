@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -6,16 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saflip.ber import (
-    AggregatedScores,
     PairingError,
     ResultMatrix,
-    aggregate_matrix,
-    auroc_identity_check,
-    ber_aggregated,
     ber_grouped,
     ber_pairwise,
-    matrix_from_json,
-    matrix_to_json,
+    group_rows,
     read_result_csv,
     success_rate,
     write_result_csv,
@@ -148,29 +142,13 @@ class TestGrouped:
         groups = [rep.group for rep in ber_grouped(ym, y0, 0.0)]
         assert groups == ["50", "75", "100", "125", "overall"]
 
-
-class TestAggregated:
-    def test_identical(self):
-        z = AggregatedScores([0.1, 0.2])
-        rep = ber_aggregated(z, AggregatedScores([0.1, 0.2]), 0.0)
-        assert (rep.b, rep.e, rep.r) == (0.0, 1.0, 0.0)
-
-    def test_elementwise(self):
-        rep = ber_aggregated(AggregatedScores([1, 2]), AggregatedScores([3, 2]), 0.5)
-        assert (rep.b, rep.e, rep.r) == (0.5, 0.5, 0.0)
-        assert rep.comparisons == 2
-
-    def test_risk_side(self):
-        rep = ber_aggregated(AggregatedScores([5]), AggregatedScores([1]), 1.0)
-        assert (rep.b, rep.e, rep.r) == (0.0, 0.0, 1.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ber_aggregated(AggregatedScores([1]), AggregatedScores([1, 2]), 0.0)
-
-    def test_aggregate_matrix_mean(self):
-        m = make_matrix([[0.0, 0.2], [0.4, 0.4]])
-        assert aggregate_matrix(m).z == (0.1, 0.4)
+    def test_group_rows(self):
+        assert group_rows([125, 50, 125, "x"]) == [
+            ("50", [1]),
+            ("125", [0, 2]),
+            ("x", [3]),
+            ("overall", [0, 1, 2, 3]),
+        ]
 
 
 class TestSuccessRate:
@@ -184,29 +162,6 @@ class TestSuccessRate:
         m = make_matrix([[0.0], [0.3]], groups=[50, 75])
         rates = success_rate(m)
         assert rates == {"50": 1.0, "75": 0.0, "overall": 0.5}
-
-
-class TestAurocIdentity:
-    def test_no_ties(self):
-        report = auroc_identity_check(
-            make_matrix([[0.1, 0.3]]), make_matrix([[0.2, 0.4]])
-        )
-        assert report["tie_mass"] == 0.0
-        assert report["auroc_strict_win_mass"] + report["loss_mass"] == 1.0
-
-    def test_identical_is_all_ties(self):
-        m = make_matrix([[0.1, 0.1]])
-        assert auroc_identity_check(m, make_matrix([[0.1, 0.1]]))["tie_mass"] == 1.0
-
-    def test_random_matches_enumeration(self):
-        rng = random.Random(4)
-        for _ in range(100):
-            ym, y0 = random_pair(rng)
-            report = auroc_identity_check(ym, y0)
-            b, e, total = oracle_ber(ym.scores, y0.scores, 0.0)
-            assert report["auroc_strict_win_mass"] == b / total
-            assert report["tie_mass"] == e / total
-            assert report["counts_sum_exact"]
 
 
 @st.composite
@@ -263,7 +218,12 @@ class TestPersistence:
         with pytest.raises(ValueError):
             read_result_csv(path)
 
-    def test_json_round_trip(self):
-        m = make_matrix([[0.5]], groups=[100], label="placebo")
-        doc = json.loads(json.dumps(matrix_to_json(m, metadata={"k": 1})))
-        assert matrix_from_json(doc) == m
+    def test_csv_rejects_duplicate_run(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text(
+            "instance_id,group,seed,run_index,algorithm,y\n"
+            "a,50,1,0,sa,0.1\n"
+            "a,50,2,0,sa,0.3\n"
+        )
+        with pytest.raises(ValueError, match="line 3: duplicate run 0 of instance 'a'"):
+            read_result_csv(path)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from saflip import harness
 from saflip.cli import main
 from saflip.ber import read_result_csv
 
@@ -22,6 +23,13 @@ def make_config(tmp_path, per_group=1, n_runs=2, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def without_wall_time(journal_text):
+    return [
+        {k: v for k, v in json.loads(line).items() if k != "wall_time"}
+        for line in journal_text.splitlines()
+    ]
 
 
 def run_cli(capsys, *argv):
@@ -71,6 +79,28 @@ class TestRun:
         assert code == 0
         assert open(json.loads(out)["results_sa"], "rb").read() == sa_bytes
         assert "run 0" not in err  # nothing recomputed
+
+    def test_resume_after_torn_journal_line(self, tmp_path, capsys):
+        whole = make_config(tmp_path / "whole")
+        code, out, _ = run_cli(capsys, "run", "--config", str(whole))
+        assert code == 0
+        expected = {
+            key: open(path, "rb").read()
+            for key, path in json.loads(out).items()
+            if key.startswith("results_")
+        }
+        config = make_config(tmp_path / "torn")
+        code, _, _ = run_cli(capsys, "run", "--config", str(config))
+        assert code == 0
+        journal = tmp_path / "torn" / "out" / "journal.jsonl"
+        full = journal.read_text()
+        journal.write_text(full[:-20])  # a crash mid-write of the last record
+        code, out, err = run_cli(capsys, "run", "--config", str(config), "--resume")
+        assert code == 0
+        assert err.count("run ") == 1  # only the torn cell ran again
+        for key, content in expected.items():
+            assert open(json.loads(out)[key], "rb").read() == content
+        assert without_wall_time(journal.read_text()) == without_wall_time(full)
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -134,6 +164,19 @@ class TestBer:
         assert code == 2
         assert "pair" in err.lower()
 
+    @pytest.mark.parametrize("command", ["ber", "report"])
+    def test_duplicate_run_row_exits_2(self, tmp_path, capsys, command):
+        paths = self._results(tmp_path, capsys)
+        lines = open(paths["results_sa"]).read().splitlines(keepends=True)
+        dup = tmp_path / "dup.csv"
+        dup.write_text("".join(lines[:2] + lines[1:]))
+        code, _, err = run_cli(
+            capsys, command, str(dup), paths["results_placebo"],
+            "--out", str(tmp_path / command),
+        )
+        assert code == 2
+        assert "duplicate run 0" in err
+
 
 class TestReport:
     def test_report_and_determinism(self, tmp_path, capsys):
@@ -152,7 +195,97 @@ class TestReport:
         assert (tmp_path / "r1" / "summary.json").exists()
 
 
+def record_sa_calls(monkeypatch, fail=False):
+    """Replace the harness's SA solver by one that logs (instance, seed)
+    per call, or raises when `fail` is set."""
+    calls = []
+    solver = harness.ALGORITHMS["sa"]
+
+    def recorded(formula, params):
+        if fail:
+            raise RuntimeError("solver exploded")
+        calls.append((formula.source_id, params.seed))
+        return solver(formula, params)
+
+    monkeypatch.setitem(harness.ALGORITHMS, "sa", recorded)
+    return calls
+
+
+def seed_block(tmp_path, master_seed, runs, first_run):
+    """(instance, seed) per cell of one evaluation, in execution order."""
+    bset = harness.ingest_benchmarks(tmp_path / "toy", validate_phase_transition=False)
+    return [
+        (inst.instance_id, harness.derive_seed(master_seed, inst.digest, first_run + j))
+        for inst in bset.instances
+        for j in range(runs)
+    ]
+
+
 class TestTune:
+    def test_screen_rows_share_seeds(self, tmp_path, capsys, monkeypatch):
+        config = make_config(tmp_path, per_group=1)
+        calls = record_sa_calls(monkeypatch)
+        code, _, _ = run_cli(
+            capsys, "tune", "--config", str(config), "--phase", "screen",
+            "--runs", "2", "--out", str(tmp_path / "tune"),
+        )
+        assert code == 0
+        block = seed_block(tmp_path, 21, runs=2, first_run=0)
+        assert calls == block * 27
+
+    def test_rsm_evaluations_draw_fresh_seed_blocks(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        config = make_config(
+            tmp_path, per_group=1,
+            params={"t0": 50.0, "alpha": 0.9, "m_steps": 20, "mni": 50},
+        )
+        calls = record_sa_calls(monkeypatch)
+        code, _, _ = run_cli(
+            capsys, "tune", "--config", str(config), "--phase", "rsm",
+            "--runs", "2", "--budget-limit", "1200", "--seed", "5",
+            "--out", str(tmp_path / "tune"),
+        )
+        assert code == 0
+        cells = len(seed_block(tmp_path, 5, runs=2, first_run=0))
+        evaluations = len(calls) // cells
+        assert evaluations >= 8
+        # Evaluation b = 1, 2, ... uses run indices b*runs + j; block 0 is
+        # the screen's.
+        assert calls == [
+            cell
+            for b in range(1, evaluations + 1)
+            for cell in seed_block(tmp_path, 5, runs=2, first_run=2 * b)
+        ]
+
+    def test_failing_solver_fails_screen(self, tmp_path, capsys, monkeypatch):
+        config = make_config(tmp_path)
+        record_sa_calls(monkeypatch, fail=True)
+        code, out, err = run_cli(
+            capsys, "tune", "--config", str(config), "--phase", "screen",
+            "--runs", "1", "--out", str(tmp_path / "tune"),
+        )
+        assert code == 1
+        assert out == ""
+        assert "tuning failed" in err
+        assert not (tmp_path / "tune" / "screening_effects.json").exists()
+
+    def test_failing_solver_fails_rsm_with_partial_trace(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        config = make_config(
+            tmp_path, params={"t0": 50.0, "alpha": 0.9, "m_steps": 20, "mni": 50}
+        )
+        record_sa_calls(monkeypatch, fail=True)
+        code, out, err = run_cli(
+            capsys, "tune", "--config", str(config), "--phase", "rsm",
+            "--runs", "1", "--out", str(tmp_path / "tune"),
+        )
+        assert code == 1
+        assert "partial trace" in err
+        assert json.loads((tmp_path / "tune" / "rsm_trace.json").read_text()) == []
+        assert not (tmp_path / "tune" / "tuned_params.json").exists()
+
     def test_screen_toy(self, tmp_path, capsys):
         config = make_config(tmp_path, per_group=2, n_runs=1)
         code, out, _ = run_cli(

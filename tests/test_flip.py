@@ -1,5 +1,8 @@
+import importlib
 import random
+import types
 
+import saflip
 from saflip.cnf import EvalState
 from saflip.flip import flip
 
@@ -84,3 +87,10 @@ def test_one_permutation_reused_across_passes():
     stub = OneShot(range(1, 9))
     flip(EvalState(f, [0] * 8), stub)
     assert stub.calls == 1
+
+
+def test_flip_submodule_not_shadowed():
+    module = importlib.import_module("saflip.flip")
+    assert isinstance(module, types.ModuleType)
+    assert saflip.flip is module
+    assert module.flip is flip

@@ -166,6 +166,16 @@ class TestExecute:
         assert resumed["placebo"] == full["placebo"]
         assert len(journal.read_text().splitlines()) == len(lines)
 
+    def test_malformed_complete_journal_line_fails(self, tmp_path):
+        plan = toy_plan(tmp_path, per_group=1, n_runs=2)
+        journal = tmp_path / "journal.jsonl"
+        execute(plan, journal_path=journal)
+        lines = journal.read_text().splitlines(keepends=True)
+        lines[1] = lines[1][:10] + "\n"
+        journal.write_text("".join(lines))
+        with pytest.raises(json.JSONDecodeError):
+            execute(plan, journal_path=journal)
+
     def test_journal_confirms_seed_pairing(self, tmp_path):
         plan = toy_plan(tmp_path, per_group=1, n_runs=3)
         journal = tmp_path / "journal.jsonl"

@@ -10,6 +10,7 @@ at report time.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +137,14 @@ def _make_report(ym_rows, y0_rows, delta, group):
     )
 
 
+def check_delta(delta):
+    """delta as a float; raises ValueError unless it is finite and >= 0."""
+    delta = float(delta)
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+    return delta
+
+
 def ber_pairwise(ym, y0, delta, group="overall"):
     """BER over all within-instance ordered run pairs of two paired matrices.
 
@@ -143,16 +152,14 @@ def ber_pairwise(ym, y0, delta, group="overall"):
     more than delta, r the converse, and e the remainder (so boundary ties
     land in e and the three counts sum to l*n^2 exactly).
     """
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
+    check_delta(delta)
     check_paired(ym, y0)
     return _make_report(ym.scores, y0.scores, delta, group)
 
 
 def ber_grouped(ym, y0, delta):
     """One BerReport per distinct group key (sorted) plus the overall one."""
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
+    check_delta(delta)
     check_paired(ym, y0)
     return [
         _make_report(

@@ -20,6 +20,7 @@ from pathlib import Path
 from . import doe, harness
 from .ber import (
     ber_grouped,
+    check_delta,
     check_paired,
     read_result_csv,
     write_ber_csv,
@@ -149,11 +150,13 @@ def cmd_run(args):
     return EXIT_OK
 
 
-def _read_pair(args):
+def _read_inputs(args):
+    """The --delta list and the paired result matrices of `ber` and `report`."""
+    deltas = [check_delta(d) for d in args.delta.split(",")]
     ym = read_result_csv(args.results_m)
     y0 = read_result_csv(args.results_0)
     check_paired(ym, y0)
-    return ym, y0
+    return deltas, ym, y0
 
 
 def _print_ber_table(reports, delta):
@@ -165,10 +168,9 @@ def _print_ber_table(reports, delta):
 
 def cmd_ber(args):
     try:
-        deltas = [float(d) for d in args.delta.split(",")]
-        ym, y0 = _read_pair(args)
+        deltas, ym, y0 = _read_inputs(args)
     except Exception as exc:
-        _err(f"cannot pair result files: {exc}")
+        _err(f"bad --delta or result file pair: {exc}")
         return EXIT_USAGE
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -185,11 +187,10 @@ def cmd_ber(args):
 
 def cmd_report(args):
     try:
-        ym, y0 = _read_pair(args)
+        deltas, ym, y0 = _read_inputs(args)
     except Exception as exc:
-        _err(f"cannot pair result files: {exc}")
+        _err(f"bad --delta or result file pair: {exc}")
         return EXIT_USAGE
-    deltas = [float(d) for d in args.delta.split(",")]
     out_dir = Path(args.out)
     try:
         harness.summarize(ym, y0, deltas=deltas, out_dir=out_dir)
@@ -219,6 +220,11 @@ def cmd_tune(args):
             config.master_seed = args.seed
         plan, _ = config.build_plan()
         plan = dataclasses.replace(plan, n_runs=args.runs)
+        if args.phase == "screen":
+            design = doe.box_behnken_4(center_points=args.center_points)
+        else:
+            # The walk's first design must already lie inside the bounds.
+            doe.fractional_factorial_2_4_1(config.params)
     except (ValueError, harness.BenchmarkError) as exc:
         _err(f"config error: {exc}")
         return EXIT_USAGE
@@ -227,7 +233,6 @@ def cmd_tune(args):
 
     if args.phase == "screen":
         # Common random numbers: every row uses run indices 0..runs-1.
-        design = doe.box_behnken_4(center_points=args.center_points)
         responses = []
         journal = []
         try:

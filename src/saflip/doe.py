@@ -10,98 +10,52 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 
 from .annealing import SolverParams
 
-FACTOR_NAMES = ("t0", "alpha", "m_steps", "mni")
-
-# Screening levels (low, medium, high) and calibration half-distances.
-DEFAULT_LEVELS = {
-    "t0": (1.0, 100.0, 1000.0),
-    "alpha": (0.5, 0.85, 0.99),
-    "m_steps": (1, 10, 20),
-    "mni": (10, 50, 100),
-}
-DEFAULT_HALF_DISTANCES = {"t0": 10.0, "alpha": 0.04, "m_steps": 5.0, "mni": 10.0}
-
-_BOUNDS = {
-    "t0": (1e-9, float("inf")),
-    "alpha": (1e-9, 1 - 1e-9),
-    "m_steps": (1, float("inf")),
-    "mni": (1, float("inf")),
-}
-_INTEGRAL = {"t0": False, "alpha": False, "m_steps": True, "mni": True}
+# Most steepest-descent steps one `rsm_walk` takes.
+MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
-class FactorSpec:
-    name: str
-    low: float
-    medium: float
-    high: float
-    half_distance: float
+class Factor:
+    """One tuned parameter: screening levels, calibration step and bounds."""
+
+    levels: tuple  # screening levels (low, medium, high)
+    half_distance: float  # calibration step and design half-width
+    lo: float  # validity bounds of a decoded value
+    hi: float
     integral: bool = False
 
-    def __post_init__(self):
-        if self.name not in FACTOR_NAMES:
-            raise ValueError(f"unknown factor {self.name!r}")
-        if not self.low < self.medium < self.high:
-            raise ValueError(f"{self.name}: levels must be strictly increasing")
-        if not self.half_distance > 0:
-            raise ValueError(f"{self.name}: half_distance must be positive")
-
-    def level(self, coded):
-        value = {-1: self.low, 0: self.medium, 1: self.high}[coded]
-        return _round_half_up(value) if self.integral else value
+    def value(self, x):
+        """x as this factor's SolverParams field: rounded half up if integral."""
+        return math.floor(x + 0.5) if self.integral else float(x)
 
 
-def default_factors():
-    return tuple(
-        FactorSpec(
-            name=name,
-            low=DEFAULT_LEVELS[name][0],
-            medium=DEFAULT_LEVELS[name][1],
-            high=DEFAULT_LEVELS[name][2],
-            half_distance=DEFAULT_HALF_DISTANCES[name],
-            integral=_INTEGRAL[name],
-        )
-        for name in FACTOR_NAMES
-    )
-
-
-def _round_half_up(x):
-    import math
-
-    return int(math.floor(x + 0.5))
+FACTORS = {
+    "t0": Factor((1.0, 100.0, 1000.0), 10.0, 1e-9, math.inf),
+    "alpha": Factor((0.5, 0.85, 0.99), 0.04, 1e-9, 1 - 1e-9),
+    "m_steps": Factor((1, 10, 20), 5.0, 1, math.inf, integral=True),
+    "mni": Factor((10, 50, 100), 10.0, 1, math.inf, integral=True),
+}
+FACTOR_NAMES = tuple(FACTORS)
 
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    design_name: str
     coded_rows: tuple  # rows of 4 coded levels
     decoded: tuple  # SolverParams per row (seed left at 0)
 
-    def __post_init__(self):
-        if len(self.coded_rows) != len(self.decoded):
-            raise ValueError("coded/decoded row counts differ")
 
-
-def _params_from_values(values):
-    t0, alpha, m, mni = values
-    return SolverParams(t0=float(t0), alpha=float(alpha), m_steps=int(m), mni=int(mni))
-
-
-def box_behnken_4(factors=None, center_points=3):
+def box_behnken_4(center_points=3):
     """Four-factor Box-Behnken screening design.
 
     For each of the 6 factor pairs, the four (+/-1, +/-1) combinations with
     the remaining two factors at their medium level; plus `center_points`
     all-medium rows.  27 rows with the default 3 center points.
     """
-    factors = tuple(factors) if factors is not None else default_factors()
-    if len(factors) != 4:
-        raise ValueError("exactly 4 factors required")
     if center_points < 1:
         raise ValueError("center_points must be >= 1")
     rows = []
@@ -112,49 +66,43 @@ def box_behnken_4(factors=None, center_points=3):
             rows.append(tuple(row))
     rows.extend([(0, 0, 0, 0)] * center_points)
     decoded = tuple(
-        _params_from_values([f.level(c) for f, c in zip(factors, row)]) for row in rows
+        SolverParams(**{
+            name: f.value(f.levels[c + 1]) for (name, f), c in zip(FACTORS.items(), row)
+        })
+        for row in rows
     )
-    return DesignMatrix("box-behnken-4", tuple(rows), decoded)
+    return DesignMatrix(tuple(rows), decoded)
 
 
-def fractional_factorial_2_4_1(center, half_distances=None):
+def fractional_factorial_2_4_1(center):
     """8-run half-fraction of the 2^4 factorial with generator D = ABC
-    (resolution IV), centered on `center` with the given half-distances.
+    (resolution IV), centered on `center` with each factor's half-distance.
 
     Main effects are clear of two-factor interactions, but the two-factor
     interactions are aliased in pairs: t0*alpha with m_steps*mni, t0*m_steps
     with alpha*mni, and t0*mni with alpha*m_steps."""
-    if half_distances is None:
-        half_distances = DEFAULT_HALF_DISTANCES
-    hd = [float(half_distances[name]) for name in FACTOR_NAMES]
-    if any(h <= 0 for h in hd):
-        raise ValueError("half-distances must be positive")
-    center_values = [center.t0, center.alpha, center.m_steps, center.mni]
-    rows = []
-    for a, b, c in itertools.product((-1, 1), repeat=3):
-        rows.append((a, b, c, a * b * c))
+    rows = tuple(
+        (a, b, c, a * b * c) for a, b, c in itertools.product((-1, 1), repeat=3)
+    )
     decoded = []
     for row in rows:
-        values = []
-        for idx, name in enumerate(FACTOR_NAMES):
-            v = center_values[idx] + row[idx] * hd[idx]
-            if _INTEGRAL[name]:
-                v = _round_half_up(v)
-            lo, hi = _BOUNDS[name]
+        values = {}
+        for (name, f), coded in zip(FACTORS.items(), row):
+            v = f.value(getattr(center, name) + coded * f.half_distance)
             # Snap float roundoff (e.g. a center clamped to lo + h minus h)
             # back onto the bound before rejecting genuine violations.
             tol = 1e-12 * max(1.0, abs(v))
-            if lo - tol <= v < lo:
-                v = lo
-            elif hi < v <= hi + tol:
-                v = hi
-            if not lo <= v <= hi:
+            if f.lo - tol <= v < f.lo:
+                v = f.lo
+            elif f.hi < v <= f.hi + tol:
+                v = f.hi
+            if not f.lo <= v <= f.hi:
                 raise ValueError(
                     f"decoded {name}={v} outside validity bounds at row {row}"
                 )
-            values.append(v)
-        decoded.append(_params_from_values(values))
-    return DesignMatrix("fractional-factorial-2^(4-1)", tuple(rows), tuple(decoded))
+            values[name] = v
+        decoded.append(SolverParams(**values))
+    return DesignMatrix(rows, tuple(decoded))
 
 
 @dataclass(frozen=True)
@@ -162,6 +110,13 @@ class EffectReport:
     intercept: float
     main_effects: dict
     interactions: dict
+
+
+def _contrast(signs, responses):
+    """Mean response where the sign column is positive minus where negative."""
+    plus = [y for s, y in zip(signs, responses) if s > 0]
+    minus = [y for s, y in zip(signs, responses) if s < 0]
+    return (sum(plus) / len(plus)) - (sum(minus) / len(minus)) if plus and minus else 0.0
 
 
 def estimate_effects(design, responses):
@@ -181,31 +136,26 @@ def estimate_effects(design, responses):
         for row, y in zip(design.coded_rows, responses)
         if any(c != 0 for c in row)
     ]
-    main = {}
-    for idx, name in enumerate(FACTOR_NAMES):
-        plus = [y for row, y in pairs if row[idx] > 0]
-        minus = [y for row, y in pairs if row[idx] < 0]
-        main[name] = (
-            (sum(plus) / len(plus)) - (sum(minus) / len(minus)) if plus and minus else 0.0
-        )
-    interactions = {}
-    for i, j in itertools.combinations(range(4), 2):
-        plus = [y for row, y in pairs if row[i] * row[j] > 0]
-        minus = [y for row, y in pairs if row[i] * row[j] < 0]
-        interactions[(FACTOR_NAMES[i], FACTOR_NAMES[j])] = (
-            (sum(plus) / len(plus)) - (sum(minus) / len(minus)) if plus and minus else 0.0
-        )
-    intercept = sum(y for _, y in pairs) / len(pairs)
+    rows = [row for row, _ in pairs]
+    ys = [y for _, y in pairs]
+    main = {
+        name: _contrast([row[idx] for row in rows], ys)
+        for idx, name in enumerate(FACTOR_NAMES)
+    }
+    interactions = {
+        (FACTOR_NAMES[i], FACTOR_NAMES[j]):
+            _contrast([row[i] * row[j] for row in rows], ys)
+        for i, j in itertools.combinations(range(4), 2)
+    }
+    intercept = sum(ys) / len(ys)
     return EffectReport(intercept=intercept, main_effects=main, interactions=interactions)
 
 
-def _clamp(name, value, margin=0.0):
-    # `margin` keeps the next design's +/- half-distance rows in bounds too.
-    lo, hi = _BOUNDS[name]
-    v = min(max(value, lo + margin), hi - margin if hi != float("inf") else hi)
-    if _INTEGRAL[name]:
-        v = max(int(_round_half_up(v)), 1 + int(_round_half_up(margin)))
-    return v
+def _clamp(f, value):
+    # A half-distance margin keeps the next design's +/- rows in bounds too.
+    v = min(max(value, f.lo + f.half_distance), f.hi - f.half_distance)
+    # A float factor keeps its type: an int t0 from a config stays an int.
+    return f.value(v) if f.integral else v
 
 
 @dataclass
@@ -231,29 +181,21 @@ class RsmStep:
         }
 
 
-def rsm_walk(start, half_distances=None, budget_limit=5000, evaluator=None,
-             dead_band=0.0, max_iterations=100):
+def rsm_walk(start, evaluator, budget_limit=5000, dead_band=0.0):
     """Steepest-descent walk over half-fraction designs.
 
     At each step: build the 2^4-1 design around the current center, evaluate
     the mean score per row with `evaluator(params)`, estimate main effects,
     and move the center one half-distance per factor against the sign of the
     effect (the score is minimized).  Stops when m_steps * mni exceeds
-    `budget_limit`, when every main effect falls inside `dead_band`, or after
-    `max_iterations` steps.  Returns (trace, final center).
+    `budget_limit`, when every main effect falls inside `dead_band`, when the
+    center is pinned at its bounds, or after MAX_ITERATIONS steps.  Returns
+    (trace, final center).
     """
-    if evaluator is None:
-        raise ValueError("evaluator is required")
-    if half_distances is None:
-        half_distances = DEFAULT_HALF_DISTANCES
-    hd = {name: float(half_distances[name]) for name in FACTOR_NAMES}
-    if any(h <= 0 for h in hd.values()):
-        raise ValueError("half-distances must be positive")
-
     center = start
     trace = []
-    for _ in range(max_iterations):
-        design = fractional_factorial_2_4_1(center, hd)
+    for _ in range(MAX_ITERATIONS):
+        design = fractional_factorial_2_4_1(center)
         responses = []
         try:
             for params in design.decoded:
@@ -262,31 +204,29 @@ def rsm_walk(start, half_distances=None, budget_limit=5000, evaluator=None,
             raise RsmEvaluationError(trace, exc) from exc
         effects = estimate_effects(design, responses)
 
-        if all(abs(v) <= dead_band for v in effects.main_effects.values()):
+        def record(decision):
             trace.append(RsmStep(center, design.coded_rows, design.decoded,
-                                 tuple(responses), effects, "stop: effects in dead band"))
+                                 tuple(responses), effects, decision))
+
+        if all(abs(v) <= dead_band for v in effects.main_effects.values()):
+            record("stop: effects in dead band")
             break
 
         values = {}
-        for name in FACTOR_NAMES:
+        for name, f in FACTORS.items():
             effect = effects.main_effects[name]
-            step = 0 if effect == 0 else (-hd[name] if effect > 0 else hd[name])
-            values[name] = _clamp(name, getattr(center, name) + step, margin=hd[name])
-        new_center = SolverParams(
-            t0=values["t0"], alpha=values["alpha"],
-            m_steps=values["m_steps"], mni=values["mni"], seed=center.seed,
-        )
+            h = f.half_distance
+            move = 0 if effect == 0 else (-h if effect > 0 else h)
+            values[name] = _clamp(f, getattr(center, name) + move)
+        new_center = dataclasses.replace(center, **values)
         if new_center.m_steps * new_center.mni > budget_limit:
-            trace.append(RsmStep(center, design.coded_rows, design.decoded,
-                                 tuple(responses), effects,
-                                 f"stop: m_steps*mni exceeds {budget_limit}"))
+            record(f"stop: m_steps*mni exceeds {budget_limit}")
             center = new_center
             break
-        trace.append(RsmStep(center, design.coded_rows, design.decoded,
-                             tuple(responses), effects, "move center"))
         if new_center == center:
-            trace[-1].decision = "stop: center pinned at bounds"
+            record("stop: center pinned at bounds")
             break
+        record("move center")
         center = new_center
     return trace, center
 

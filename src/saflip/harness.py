@@ -16,7 +16,14 @@ from pathlib import Path
 
 from . import plots
 from .annealing import SolverParams, run_sa_flip
-from .ber import ResultMatrix, ber_grouped, group_rows, success_rate, write_ber_csv
+from .ber import (
+    ResultMatrix,
+    ber_grouped,
+    check_delta,
+    group_rows,
+    success_rate,
+    write_ber_csv,
+)
 from .cnf import CnfFormula, parse_dimacs
 from .placebo import run_placebo_flip
 
@@ -203,7 +210,7 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one instance")
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
-        self.deltas = tuple(float(d) for d in self.deltas)
+        self.deltas = tuple(check_delta(d) for d in self.deltas)
 
     def seed_matrix(self):
         """l x n matrix of run seeds, identical for both algorithms."""
@@ -448,6 +455,8 @@ class ExperimentConfig:
             errors.append("missing required key 'out_dir'")
         params_doc = doc.get("params", {})
         try:
+            if "seed" in params_doc:
+                raise ValueError("seed is derived per run")
             params = SolverParams(**params_doc)
         except (TypeError, ValueError) as exc:
             errors.append(f"bad params: {exc}")

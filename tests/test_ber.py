@@ -98,6 +98,13 @@ class TestPairwise:
         with pytest.raises(ValueError):
             ber_pairwise(m, m, -0.1)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("ber", [ber_pairwise, ber_grouped])
+    def test_non_finite_delta_rejected(self, ber, delta):
+        m = make_matrix([[0.1]])
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            ber(m, m, delta)
+
     def test_unpaired_rejected(self):
         a = make_matrix([[0.1, 0.2]])
         b = make_matrix([[0.1, 0.2]], seed_base=5)

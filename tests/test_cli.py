@@ -109,6 +109,22 @@ class TestRun:
         assert code == 2
         assert "benchmarks" in err
 
+    def test_negative_config_delta_exits_2(self, tmp_path, capsys):
+        config = make_config(tmp_path, deltas=[-0.1])
+        code, out, err = run_cli(capsys, "run", "--config", str(config))
+        assert code == 2
+        assert "delta must be finite and >= 0" in err
+        assert not (tmp_path / "out").exists()  # no cell ran
+
+    def test_params_seed_exits_2(self, tmp_path, capsys):
+        config = make_config(
+            tmp_path, params={"t0": 1.0, "alpha": 0.9, "m_steps": 2, "mni": 3,
+                              "seed": 12345},
+        )
+        code, _, err = run_cli(capsys, "run", "--config", str(config))
+        assert code == 2
+        assert "bad params: seed is derived per run" in err
+
 
 class TestBer:
     def _results(self, tmp_path, capsys):
@@ -176,6 +192,18 @@ class TestBer:
         )
         assert code == 2
         assert "duplicate run 0" in err
+
+    @pytest.mark.parametrize("command", ["ber", "report"])
+    @pytest.mark.parametrize("delta", ["nan", "-0.1", "0,inf"])
+    def test_bad_delta_exits_2(self, tmp_path, capsys, command, delta):
+        paths = self._results(tmp_path, capsys)
+        code, out, err = run_cli(
+            capsys, command, paths["results_sa"], paths["results_placebo"],
+            f"--delta={delta}", "--out", str(tmp_path / command),
+        )
+        assert code == 2
+        assert out == ""
+        assert "delta must be finite and >= 0" in err
 
 
 class TestReport:
@@ -317,6 +345,27 @@ class TestTune:
         assert final_decision.startswith("stop")
         if "exceeds" in final_decision:
             assert params["m_steps"] * params["mni"] > 1200
+
+    def test_rsm_start_too_close_to_bound_exits_2(self, tmp_path, capsys):
+        config = make_config(tmp_path)  # t0=1.0, within one half-distance of 0
+        code, out, err = run_cli(
+            capsys, "tune", "--config", str(config), "--phase", "rsm",
+            "--runs", "1", "--out", str(tmp_path / "tune"),
+        )
+        assert code == 2
+        assert out == ""
+        assert "config error: decoded t0=" in err
+        assert "outside validity bounds" in err
+        assert not (tmp_path / "tune" / "rsm_trace.json").exists()
+
+    def test_zero_center_points_exits_2(self, tmp_path, capsys):
+        config = make_config(tmp_path)
+        code, _, err = run_cli(
+            capsys, "tune", "--config", str(config), "--phase", "screen",
+            "--runs", "1", "--center-points", "0", "--out", str(tmp_path / "tune"),
+        )
+        assert code == 2
+        assert "center_points must be >= 1" in err
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(

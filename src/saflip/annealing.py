@@ -7,6 +7,7 @@ import random
 import time
 from dataclasses import dataclass
 
+from . import _kernel
 from .cnf import EvalState, random_assignment
 from .flip import flip
 
@@ -30,10 +31,11 @@ class SolverParams:
             raise ValueError("t0 must be positive")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
-        if self.m_steps < 1:
-            raise ValueError("m_steps must be >= 1")
-        if self.mni < 1:
-            raise ValueError("mni must be >= 1")
+        # Both counts reach the C kernel as 64-bit integers.
+        for name in ("m_steps", "mni"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or not 1 <= value < 2**63:
+                raise ValueError(f"{name} must be an integer in [1, 2**63)")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -82,28 +84,28 @@ def acceptance_probability(delta_y, t):
     return math.exp(-delta_y / t)
 
 
-def _run_loop(formula, params, accept):
+def _run_loop(formula, params, accept, placebo):
     """Shared solver skeleton.
 
     `accept(rng, delta_y, k)` decides whether a worse-or-equal neighbor
     replaces the incumbent at iteration k; the annealer and the placebo
-    differ only in this rule.
+    differ only in this rule.  `placebo` names the same rule to the C kernel
+    (`_kernel.c`), which runs the whole loop in one call and gives the same
+    outcome.  Without a C compiler the Python loop below runs; it is also the
+    reference the kernel is tested against.
 
     RNG draw order (one stream per run, seeded from params.seed): initial
     valuation bits in variable order, permutation of the initial Flip, then
     per step: neighbor variable, Flip permutation, acceptance draw(s).
+
+    Best tracking: each step compares the incumbent (not the new neighbor)
+    with the best so far, before the acceptance decision.  A neighbor that
+    solves the formula ends the run at once; any other better state accepted
+    on the last step is therefore never recorded as best.
     """
+    kernel = _kernel.load()  # compiled on the first call, before the clock
     start = time.perf_counter()
     rng = random.Random(params.seed)
-
-    state = EvalState(formula, random_assignment(formula.num_vars, rng))
-    flip(state, rng)
-    flip_calls = 1
-    y = state.unsat_fraction()
-    min_evaluated = y
-
-    best = state.values.copy()
-    best_y = y
 
     def outcome(assignment, score, iterations):
         return RunOutcome(
@@ -115,6 +117,23 @@ def _run_loop(formula, params, accept):
             wall_time=time.perf_counter() - start,
             min_evaluated_score=min_evaluated,
         )
+
+    if kernel is not None:
+        best, best_unsat, min_unsat, flip_calls, k = _kernel.run(
+            kernel, formula, params, rng.getstate()[1], placebo
+        )
+        m = formula.num_clauses
+        min_evaluated = min_unsat / m
+        return outcome(best, best_unsat / m, k)
+
+    state = EvalState(formula, random_assignment(formula.num_vars, rng))
+    flip(state, rng)
+    flip_calls = 1
+    y = state.unsat_fraction()
+    min_evaluated = y
+
+    best = state.values.copy()
+    best_y = y
 
     if y == 0.0:
         return outcome(state.values, y, 0)
@@ -152,4 +171,4 @@ def run_sa_flip(formula, params):
             delta_y, params.t0 * params.alpha**k
         )
 
-    return _run_loop(formula, params, accept)
+    return _run_loop(formula, params, accept, placebo=False)

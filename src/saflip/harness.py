@@ -226,6 +226,7 @@ class ExperimentPlan:
 def _run_cell(args):
     algo, formula, params = args
     outcome = ALGORITHMS[algo](formula, params)
+    _check_outcome(formula, outcome)
     return {
         "y": outcome.best_score,
         "flip_calls": outcome.flip_calls,
@@ -234,6 +235,24 @@ def _run_cell(args):
         "wall_time": outcome.wall_time,
         "min_evaluated_score": outcome.min_evaluated_score,
     }
+
+
+def _check_outcome(formula, outcome):
+    """Recount the unsat clauses of the best assignment with a plain clause
+    scan, independent of the solver's incremental counts, and raise if the
+    reported score disagrees."""
+    values = outcome.best_assignment
+    if len(values) != formula.num_vars:
+        raise ValueError(
+            f"best assignment has {len(values)} values for {formula.num_vars} variables"
+        )
+    true = {i if b else -i for i, b in enumerate(values, 1)}
+    unsat = sum(true.isdisjoint(c) for c in formula.clauses)
+    if unsat / formula.num_clauses != outcome.best_score:
+        raise ValueError(
+            f"best_score {outcome.best_score!r} but the best assignment leaves "
+            f"{unsat} of {formula.num_clauses} clauses unsatisfied"
+        )
 
 
 def execute(plan, algorithms=("sa", "placebo"), jobs=1, journal_path=None,

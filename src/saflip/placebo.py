@@ -25,4 +25,4 @@ def run_placebo_flip(formula, params):
     params.t0 and params.alpha are accepted but ignored; only m_steps, mni,
     and seed are used.
     """
-    return _run_loop(formula, params, placebo_accept)
+    return _run_loop(formula, params, placebo_accept, placebo=True)

@@ -65,6 +65,8 @@ class TestSolverParams:
             {"mni": 0},
             {"seed": -1},
             {"seed": 2**64},
+            {"m_steps": 5.0},
+            {"mni": 2**63},
         ],
     )
     def test_invalid_rejected(self, kwargs):

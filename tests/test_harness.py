@@ -4,7 +4,8 @@ import tarfile
 
 import pytest
 
-from saflip.annealing import SolverParams
+from saflip import harness
+from saflip.annealing import RunOutcome, SolverParams
 from saflip.cnf import serialize_dimacs
 from saflip.harness import (
     BenchmarkError,
@@ -203,6 +204,35 @@ class TestExecute:
         plan = toy_plan(tmp_path)
         with pytest.raises(ValueError):
             execute(plan, algorithms=("sa", "nope"))
+
+    @pytest.mark.parametrize("truncate", [False, True])
+    def test_wrong_outcome_is_a_failed_cell(self, tmp_path, monkeypatch, truncate):
+        plan = toy_plan(tmp_path, per_group=1, n_runs=2)
+        solver = harness.ALGORITHMS["sa"]
+        calls = []
+
+        def lying(formula, params):
+            calls.append(params.seed)
+            if len(calls) > 1:
+                return solver(formula, params)
+            # Falsify the first clause, then claim the formula solved.
+            values = [1] * formula.num_vars
+            for lit in formula.clauses[0]:
+                values[abs(lit) - 1] = int(lit < 0)
+            if truncate:
+                values = values[:-1]
+            return RunOutcome(tuple(values), 0.0, 1, 0, True, 0.0, 0.0)
+
+        monkeypatch.setitem(harness.ALGORITHMS, "sa", lying)
+        journal = tmp_path / "journal.jsonl"
+        matrices, failed = execute(plan, journal_path=journal)
+        first = plan.instances[0].instance_id
+        assert failed == [(first, 0)]
+        assert matrices["sa"].num_runs == 1
+        errors = [json.loads(line) for line in journal.read_text().splitlines()
+                  if "error" in line]
+        assert [(r["algorithm"], r["instance_id"], r["run_index"]) for r in errors] == [
+            ("sa", first, 0)]
 
 
 class TestSummarize:

@@ -1,0 +1,117 @@
+"""The C run loop against the Python reference loop it replaces."""
+
+import dataclasses
+import random
+import shutil
+import time
+
+import pytest
+
+from saflip import _kernel
+from saflip.annealing import SolverParams, run_sa_flip
+from saflip.cnf import CnfFormula
+from saflip.placebo import run_placebo_flip
+
+from conftest import PINNED, random_3cnf
+
+SOLVERS = (run_sa_flip, run_placebo_flip)
+UNSAT_PAIR = CnfFormula(1, ((1,), (-1,)), source_id="unsat-pair")
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    fn = _kernel.load()
+    if fn is None:
+        compiler = _kernel._compiler()[0]
+        assert shutil.which(compiler) is None, f"{compiler} is on PATH but the kernel did not load"
+        pytest.skip("no C compiler")
+    return fn
+
+
+@pytest.fixture
+def fresh_load():
+    """Forget, after the test, whatever `load` returned during it."""
+    yield
+    _kernel.load.cache_clear()
+
+
+def result(solver, formula, params):
+    """The outcome, or the raised error, as a comparable value."""
+    try:
+        out = solver(formula, params)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return dataclasses.replace(out, wall_time=0.0)
+
+
+def reference(solver, formula, params, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(_kernel, "load", lambda: None)
+        return result(solver, formula, params)
+
+
+def test_fixture_grid_matches_reference(kernel, fixture_benchmarks, monkeypatch):
+    assert len(fixture_benchmarks.instances) == 30
+    for inst in fixture_benchmarks.instances:
+        for seed in (1, 2, 3):
+            params = SolverParams(**PINNED, seed=seed)
+            for solver in SOLVERS:
+                fast = result(solver, inst.formula, params)
+                assert fast == reference(solver, inst.formula, params, monkeypatch), (
+                    inst.instance_id, seed, solver.__name__)
+
+
+def random_case(rng, i):
+    """Case i: UNSAT_PAIR for i < 2, else a random 3-CNF formula; every 40th
+    case from i = 1 has t0 = 1e-300 and alpha = 0.01, where T = t0 * alpha**k
+    reaches 0.0 at k = 12 and both paths must raise."""
+    if i < 2:
+        formula = UNSAT_PAIR
+    else:
+        formula = random_3cnf(rng.randint(3, 20), rng.randint(1, 90), rng)
+    if i % 40 == 1:
+        t0, alpha, mni = 1e-300, 0.01, 40
+    else:
+        t0, alpha, mni = 10 ** rng.uniform(-3, 3), rng.uniform(0.01, 0.99), rng.randint(1, 40)
+    params = SolverParams(t0=t0, alpha=alpha, m_steps=rng.randint(1, 20), mni=mni,
+                          seed=rng.randrange(2**64))
+    return formula, params
+
+
+def test_random_formulas_match_reference(kernel, monkeypatch):
+    rng = random.Random(2024)
+    raised = []
+    for i in range(320):
+        formula, params = random_case(rng, i)
+        for solver in SOLVERS:
+            fast = result(solver, formula, params)
+            assert fast == reference(solver, formula, params, monkeypatch), (i, solver.__name__)
+            if fast == (ValueError, "temperature must be positive"):
+                raised.append(i)
+    assert raised[0] == 1
+
+
+def test_missing_compiler_falls_back_with_one_warning(kernel, fresh_load, monkeypatch, capsys):
+    rng = random.Random(7)
+    cases = [(random_3cnf(15, 64, rng), SolverParams(**PINNED, seed=s)) for s in range(3)]
+    expected = [result(solver, f, p) for f, p in cases for solver in SOLVERS]
+    capsys.readouterr()
+
+    _kernel.load.cache_clear()
+    monkeypatch.setattr(_kernel, "_compiler", lambda: ["/nonexistent/cc"])
+    got = [result(solver, f, p) for f, p in cases for solver in SOLVERS]
+    assert got == expected
+    assert _kernel.load() is None
+    err = capsys.readouterr().err
+    assert err.count("C kernel unavailable") == 1
+    assert "/nonexistent/cc" in err
+
+
+def test_kernel_load_is_outside_wall_time(kernel, monkeypatch):
+    def slow_load():
+        time.sleep(0.3)
+        return kernel
+
+    monkeypatch.setattr(_kernel, "load", slow_load)
+    out = run_sa_flip(CnfFormula(3, ((1, 2, 3),)), SolverParams(seed=5))
+    assert out.wall_time < 0.3

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import plots
+from . import _kernel, plots
 from .annealing import SolverParams, run_sa_flip
 from .ber import (
     ResultMatrix,
@@ -302,6 +302,9 @@ def execute(plan, algorithms=("sa", "placebo"), jobs=1, journal_path=None,
 
     try:
         if jobs > 1 and pending:
+            # Build the C kernel once, here: forked workers inherit the
+            # loaded library instead of each compiling their own copy.
+            _kernel.load()
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 for (key, job), result in zip(
                     pending, pool.map(_run_cell_safe, [job for _, job in pending])

@@ -1,10 +1,11 @@
 import json
+import multiprocessing
 import random
 import tarfile
 
 import pytest
 
-from saflip import harness
+from saflip import _kernel, harness
 from saflip.annealing import RunOutcome, SolverParams
 from saflip.cnf import serialize_dimacs
 from saflip.harness import (
@@ -194,6 +195,20 @@ class TestExecute:
         serial, _ = execute(plan, jobs=1)
         parallel, _ = execute(plan, jobs=2)
         assert serial == parallel
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers inherit the kernel only when forked")
+    def test_parallel_run_builds_the_kernel_once(self, tmp_path, monkeypatch):
+        log = tmp_path / "builds.log"
+        compiler = _kernel._compiler()
+        monkeypatch.setattr(_kernel, "_compiler", lambda: [
+            "sh", "-c", f'echo >> "{log}"; exec "$@"', "cc", *compiler])
+        _kernel.load.cache_clear()
+        try:
+            execute(toy_plan(tmp_path, per_group=2, n_runs=2), jobs=2)
+        finally:
+            _kernel.load.cache_clear()
+        assert log.read_text() == "\n"
 
     def test_single_algorithm_subset(self, tmp_path):
         plan = toy_plan(tmp_path, per_group=1, n_runs=2)

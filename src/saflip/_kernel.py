@@ -1,20 +1,27 @@
 """Build and call the C run loop in `_kernel.c`.
 
-The kernel is compiled on first use, once per process, with the compiler
-Python was built with, into a temporary directory that is removed as soon as
-the library is loaded.  When it cannot be built, `load` warns once on stderr
-and returns None, and the solvers run the Python reference loop instead.
+The kernel is compiled on first use with the compiler Python was built with,
+and the library is kept in the package's `__pycache__` as `_kernel.<key>.so`.
+The key hashes the source bytes, the compiler command, the flags and the
+platform, so an edited `_kernel.c` or another compiler gets a new build and
+later processes load the cached one without compiling.  A library that does
+not load is rebuilt.  Where `__pycache__` cannot be written, the kernel is
+built into a temporary directory that is removed once the library is loaded.
+When it cannot be built, `load` warns once on stderr and returns None, and
+the solvers run the Python reference loop instead.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import sys
 from array import array
 from itertools import accumulate, chain
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_kernel.c")
+CACHE_DIR = Path(__file__).with_name("__pycache__")
 # No -march and no -ffast-math: the run must round exactly as Python does.
 CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
@@ -29,26 +36,72 @@ def _compiler():
     return shlex.split(sysconfig.get_config_var("CC") or "cc")
 
 
+def _build(dest):
+    """Compile `SOURCE` into the shared library `dest`; returns `dest`."""
+    import subprocess
+
+    subprocess.run(
+        [*_compiler(), *CFLAGS, "-o", str(dest), str(SOURCE), "-lm"],
+        check=True, capture_output=True, text=True, timeout=120,
+    )
+    return dest
+
+
+def _cache_path():
+    """`CACHE_DIR / _kernel.<key>.so` for the current source, compiler and platform."""
+    import hashlib
+    import json
+    import sysconfig
+
+    h = hashlib.sha256(SOURCE.read_bytes())
+    h.update(json.dumps([_compiler(), CFLAGS, sys.implementation.cache_tag,
+                         sysconfig.get_platform()]).encode())
+    return CACHE_DIR / f"_kernel.{h.hexdigest()[:16]}.so"
+
+
+def _library():
+    """The loaded kernel library: cached, freshly built into the cache, or,
+    where the cache cannot be written, built into a temporary directory."""
+    import ctypes
+    import tempfile
+
+    lib_path = _cache_path()
+    try:
+        return ctypes.CDLL(str(lib_path))
+    except OSError:
+        pass  # not built yet, or unloadable: build it again
+    try:
+        CACHE_DIR.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix="_kernel.", suffix=".tmp", dir=CACHE_DIR)
+        os.close(fd)
+    except OSError:
+        with tempfile.TemporaryDirectory(prefix="saflip-kernel-") as tmp:
+            return ctypes.CDLL(str(_build(Path(tmp) / "_kernel.so")))
+    try:
+        # Publish whole files only: a concurrent process sees the old name or
+        # a complete library, never a half-written one.
+        os.replace(_build(tmp), lib_path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
+    for stale in CACHE_DIR.glob("_kernel.*.so"):
+        if stale != lib_path:
+            stale.unlink(missing_ok=True)
+    return ctypes.CDLL(str(lib_path))
+
+
 @functools.cache
 def load():
     """The kernel's `saflip_run` function, or None if it cannot be built."""
     import ctypes
     import subprocess
-    import tempfile
 
-    with tempfile.TemporaryDirectory(prefix="saflip-kernel-") as tmp:
-        lib_path = Path(tmp) / "_kernel.so"
-        try:
-            subprocess.run(
-                [*_compiler(), *CFLAGS, "-o", str(lib_path), str(SOURCE), "-lm"],
-                check=True, capture_output=True, text=True, timeout=120,
-            )
-            lib = ctypes.CDLL(str(lib_path))
-        except (OSError, subprocess.SubprocessError) as exc:
-            reason = exc.stderr.strip() if getattr(exc, "stderr", None) else exc
-            print(f"saflip: C kernel unavailable, running the Python loop ({reason})",
-                  file=sys.stderr)
-            return None
+    try:
+        lib = _library()
+    except (OSError, subprocess.SubprocessError) as exc:
+        reason = exc.stderr.strip() if getattr(exc, "stderr", None) else exc
+        print(f"saflip: C kernel unavailable, running the Python loop ({reason})",
+              file=sys.stderr)
+        return None
     fn = lib.saflip_run
     fn.argtypes = [
         ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,

@@ -103,7 +103,7 @@ def _run_loop(formula, params, accept, placebo):
     solves the formula ends the run at once; any other better state accepted
     on the last step is therefore never recorded as best.
     """
-    kernel = _kernel.load()  # compiled on the first call, before the clock
+    kernel = _kernel.load()  # loaded (or built) on the first call, before the clock
     start = time.perf_counter()
     rng = random.Random(params.seed)
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class PairingError(ValueError):
@@ -108,14 +107,20 @@ class BerReport:
 
 
 def _count_rows(ym_rows, y0_rows, delta):
-    """Integer (b, r) counts over all within-row ordered pairs."""
+    """Integer (b, r) counts over all within-row ordered pairs (y, z): b counts
+    y < z - delta and r counts y > z + delta.  Each bound is one float
+    subtraction or addition, so sorting the bounds and bisecting for each y
+    counts exactly the pairs a pairwise comparison would."""
+    delta = float(delta)
     b_count = 0
     r_count = 0
     for ym_row, y0_row in zip(ym_rows, y0_rows):
-        m = np.asarray(ym_row, dtype=float)[:, None]
-        z = np.asarray(y0_row, dtype=float)[None, :]
-        b_count += int(np.count_nonzero(m < z - delta))
-        r_count += int(np.count_nonzero(m > z + delta))
+        z = [float(v) for v in y0_row]
+        lo = sorted(v - delta for v in z)
+        hi = sorted(v + delta for v in z)
+        for y in map(float, ym_row):
+            b_count += len(lo) - bisect_right(lo, y)
+            r_count += bisect_left(hi, y)
     return b_count, r_count
 
 
@@ -203,27 +208,39 @@ def write_result_csv(matrix, path):
 
 
 def read_result_csv(path):
+    """The ResultMatrix in a CSV written by `write_result_csv`; raises
+    ValueError, naming the line where it can, on any malformed file."""
     rows = {}
     order = []
     label = ""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_COLUMNS:
-            raise ValueError(f"{path}: unexpected columns {reader.fieldnames}")
-        for rec in reader:
-            iid = rec["instance_id"]
-            if iid not in rows:
-                rows[iid] = {"group": rec["group"], "cells": {}}
-                order.append(iid)
-            cells = rows[iid]["cells"]
-            j = int(rec["run_index"])
-            if j in cells:
-                raise ValueError(
-                    f"{path}: line {reader.line_num}: duplicate run {j} "
-                    f"of instance {iid!r}"
-                )
-            cells[j] = (int(rec["seed"]), float(rec["y"]))
-            label = rec["algorithm"]
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header != CSV_COLUMNS:
+                raise ValueError(f"{path}: unexpected columns {header}")
+            for fields in reader:
+                if not fields:
+                    continue
+                if len(fields) != len(CSV_COLUMNS):
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: expected "
+                        f"{len(CSV_COLUMNS)} fields, got {len(fields)}"
+                    )
+                iid, group, seed, run_index, label, y = fields
+                if iid not in rows:
+                    rows[iid] = {"group": group, "cells": {}}
+                    order.append(iid)
+                cells = rows[iid]["cells"]
+                j = int(run_index)
+                if j in cells:
+                    raise ValueError(
+                        f"{path}: line {reader.line_num}: duplicate run {j} "
+                        f"of instance {iid!r}"
+                    )
+                cells[j] = (int(seed), float(y))
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     instance_ids, group_keys, seeds, scores = [], [], [], []
     for iid in order:
         cells = rows[iid]["cells"]

@@ -14,7 +14,6 @@ import itertools
 import json
 import statistics
 import sys
-import urllib.request
 from pathlib import Path
 
 from . import doe, harness
@@ -55,6 +54,8 @@ def cmd_fetch(args):
             if dest.exists():
                 _err(f"{name}: up to date")
             else:
+                import urllib.request
+
                 part = dest.with_suffix(dest.suffix + ".part")
                 try:
                     _err(f"downloading {source}")

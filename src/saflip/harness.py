@@ -10,7 +10,6 @@ import hashlib
 import json
 import random
 import tarfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -302,8 +301,10 @@ def execute(plan, algorithms=("sa", "placebo"), jobs=1, journal_path=None,
 
     try:
         if jobs > 1 and pending:
-            # Build the C kernel once, here: forked workers inherit the
-            # loaded library instead of each compiling their own copy.
+            from concurrent.futures import ProcessPoolExecutor
+
+            # Load the C kernel once, here: forked workers inherit the
+            # loaded library instead of racing to compile it on a cold cache.
             _kernel.load()
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 for (key, job), result in zip(

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,16 @@ from saflip.cnf import CnfFormula, EvalState
 DATA_DIR = Path(__file__).parent / "data" / "instances"
 
 PINNED = dict(t0=51.71, alpha=0.92, m_steps=50, mni=103)
+
+
+def run_python(*args):
+    """`python *args` in a fresh interpreter that imports this checkout's saflip."""
+    import saflip
+
+    src = str(Path(saflip.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH", "")) if p)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 def random_3cnf(n, m, rng, source_id="random"):
@@ -51,6 +64,24 @@ class AuditedState(EvalState):
     def apply_flip(self, var):
         super().apply_flip(var)
         self.unsat_trace.append(self.unsat_count)
+
+
+@pytest.fixture
+def kernel_cache(tmp_path, monkeypatch):
+    """Point the kernel's build cache at an empty directory and log every
+    compiler run; yields a function that returns the number of builds."""
+    from saflip import _kernel
+
+    root = tmp_path / "kernel"
+    root.mkdir()
+    log = root / "builds.log"
+    log.touch()
+    argv = ["sh", "-c", f'echo >> "{log}"; exec "$@"', "cc", *_kernel._compiler()]
+    monkeypatch.setattr(_kernel, "_compiler", lambda: argv)
+    monkeypatch.setattr(_kernel, "CACHE_DIR", root / "__pycache__")
+    _kernel.load.cache_clear()
+    yield lambda: len(log.read_text())
+    _kernel.load.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,14 +1,9 @@
 import dataclasses
 import math
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import saflip
 from saflip.annealing import (
     RunOutcome,
     SolverParams,
@@ -17,7 +12,7 @@ from saflip.annealing import (
 )
 from saflip.cnf import CnfFormula, EvalState
 
-from conftest import PINNED, random_3cnf
+from conftest import PINNED, random_3cnf, run_python
 
 UNSAT_PAIR = CnfFormula(1, ((1,), (-1,)), source_id="unsat-pair")
 
@@ -91,13 +86,7 @@ class TestRunOutcome:
             "    raise SystemExit(0)\n"
             "raise SystemExit(1)\n"
         )
-        src = str(Path(saflip.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH", "")) if p
-        )
-        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env)
-        assert proc.returncode == 0
+        assert run_python("-O", "-c", code).returncode == 0
 
 
 class TestRunSaFlip:

@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saflip.ber import (
+    CSV_COLUMNS,
     PairingError,
     ResultMatrix,
+    _count_rows,
     ber_grouped,
     ber_pairwise,
     group_rows,
@@ -201,6 +203,32 @@ def test_properties_simplex_monotone_antisymmetric(pair, d1, d2):
     assert swapped.e_count == rep_lo.e_count
 
 
+@st.composite
+def clause_fraction_rows(draw):
+    """Score rows of k/m and a delta of 0 or j/m, so that many differences
+    land exactly on the band's edge."""
+    m = draw(st.integers(1, 600))
+    l = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 8))
+    score = st.integers(0, m).map(lambda k: k / m)
+    rows = st.lists(st.lists(score, min_size=n, max_size=n), min_size=l, max_size=l)
+    delta = draw(st.one_of(st.just(0.0), st.integers(0, m).map(lambda j: j / m)))
+    return draw(rows), draw(rows), delta
+
+
+@settings(max_examples=300, deadline=None)
+@given(clause_fraction_rows())
+def test_count_rows_matches_pairwise_loop(case):
+    ym_rows, y0_rows, delta = case
+    b = r = 0
+    for ym_row, y0_row in zip(ym_rows, y0_rows):
+        for y in ym_row:
+            for z in y0_row:
+                b += y < z - delta
+                r += y > z + delta
+    assert _count_rows(ym_rows, y0_rows, delta) == (b, r)
+
+
 def test_shift_property():
     rng = random.Random(6)
     ym_rows = [[rng.uniform(0, 0.1) for _ in range(4)] for _ in range(3)]
@@ -225,6 +253,17 @@ class TestPersistence:
         with pytest.raises(ValueError):
             read_result_csv(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("a\n", "line 2: expected 6 fields, got 1"),
+        ("a,50,1,0,sa,0.1,extra\n", "line 2: expected 6 fields, got 7"),
+        ("a,50,1,0,sa," + "1" * 200_000 + "\n", "line 2: field larger than field limit"),
+    ])
+    def test_csv_rejects_malformed_row(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + row)
+        with pytest.raises(ValueError, match=message):
+            read_result_csv(path)
+
     def test_csv_rejects_duplicate_run(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text(
@@ -234,3 +273,35 @@ class TestPersistence:
         )
         with pytest.raises(ValueError, match="line 3: duplicate run 0 of instance 'a'"):
             read_result_csv(path)
+
+
+CSV_FIELDS = ("a", "b", "50", "0", "1", "-1", "2", "0.5", "1e-3", "nan", "inf", "", "x",
+              '"', '"a,b"', "²", "007", " 1", "sa")
+well_formed_row = st.tuples(
+    st.sampled_from(("a", "b")), st.sampled_from(("50", "007", "x")), st.integers(-1, 9).map(str),
+    st.integers(0, 2).map(str), st.just("sa"), st.sampled_from(("0", "0.5", "1", "1e-3", "2")),
+).map(",".join)
+csv_rows = st.one_of(well_formed_row,
+                     st.lists(st.sampled_from(CSV_FIELDS), max_size=8).map(",".join))
+csv_like = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",))),
+    st.lists(csv_rows, max_size=6).map(
+        lambda rows: "\n".join([",".join(CSV_COLUMNS), *rows]) + "\n"),
+)
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "results.csv"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(csv_like.map(str.encode), st.binary()))
+def test_read_result_csv_accepts_or_raises_value_error(csv_path, data):
+    csv_path.write_bytes(data)
+    try:
+        m = read_result_csv(csv_path)
+    except ValueError:
+        return
+    write_result_csv(m, csv_path)
+    assert read_result_csv(csv_path) == m

@@ -6,6 +6,7 @@ from saflip import harness
 from saflip.cli import main
 from saflip.ber import read_result_csv
 
+from conftest import run_python
 from test_harness import write_toy_instances
 
 
@@ -403,3 +404,14 @@ class TestFetch:
         assert code == 2
         assert list(cache.glob("*.part")) == []
         assert list(cache.glob("*.tar.gz")) == []
+
+
+def test_import_leaves_out_what_only_some_commands_use():
+    code = (
+        "import sys\n"
+        "import saflip.cli\n"
+        "print(sorted({'numpy', 'urllib.request', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -154,3 +154,41 @@ def test_incremental_matches_oracle(data):
         assert (state.unsat_fraction() == 0.0) == (
             brute_force_unsat_count(f, state.values) == 0
         )
+
+
+DIMACS_PIECES = ("p", "cnf", "c", "%", "0", "1", "-1", "2", "-2", "3", "00", "+1", "1_0",
+                 "1e3", "9" * 30, "-", "x", " ", " ", "\t", "\n", "\n", "\r\n", "\x0b")
+
+
+def _dimacs(n, clauses, sep):
+    """DIMACS text whose header matches its clauses; a literal may exceed n."""
+    lines = [f"p cnf {n} {len(clauses)}", *(" ".join(map(str, c)) + " 0" for c in clauses)]
+    return sep.join(lines) + sep
+
+
+dimacs_like = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(DIMACS_PIECES), max_size=40).map("".join),
+    st.builds(
+        "p cnf {} {}\n{}".format,
+        st.integers(1, 4), st.integers(1, 3),
+        st.lists(st.sampled_from(DIMACS_PIECES) | st.integers(-4, 4).map(" {} ".format),
+                 max_size=16).map("".join),
+    ),
+    st.builds(
+        _dimacs, st.integers(1, 4),
+        st.lists(st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=3),
+                 min_size=1, max_size=4),
+        st.sampled_from(("\n", " \n", "\r\n", "\nc note\n", "\n%\n")),
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(dimacs_like)
+def test_parse_dimacs_accepts_or_raises_dimacs_error(text):
+    try:
+        f = parse_dimacs(text)
+    except DimacsError:
+        return
+    assert parse_dimacs(serialize_dimacs(f)) == f

@@ -12,7 +12,7 @@ from saflip.annealing import SolverParams, run_sa_flip
 from saflip.cnf import CnfFormula
 from saflip.placebo import run_placebo_flip
 
-from conftest import PINNED, random_3cnf
+from conftest import PINNED, random_3cnf, run_python
 
 SOLVERS = (run_sa_flip, run_placebo_flip)
 UNSAT_PAIR = CnfFormula(1, ((1,), (-1,)), source_id="unsat-pair")
@@ -28,13 +28,6 @@ def kernel():
     return fn
 
 
-@pytest.fixture
-def fresh_load():
-    """Forget, after the test, whatever `load` returned during it."""
-    yield
-    _kernel.load.cache_clear()
-
-
 def result(solver, formula, params):
     """The outcome, or the raised error, as a comparable value."""
     try:
@@ -42,6 +35,19 @@ def result(solver, formula, params):
     except Exception as exc:
         return type(exc), str(exc)
     return dataclasses.replace(out, wall_time=0.0)
+
+
+def outcomes():
+    """Results of a few runs of both solvers on random 15-variable formulas."""
+    rng = random.Random(7)
+    cases = [(random_3cnf(15, 64, rng), SolverParams(**PINNED, seed=s)) for s in range(3)]
+    return [result(solver, f, p) for f, p in cases for solver in SOLVERS]
+
+
+@pytest.fixture(scope="module")
+def expected(kernel):
+    """`outcomes()` through the kernel as first loaded."""
+    return outcomes()
 
 
 def reference(solver, formula, params, monkeypatch):
@@ -91,20 +97,16 @@ def test_random_formulas_match_reference(kernel, monkeypatch):
     assert raised[0] == 1
 
 
-def test_missing_compiler_falls_back_with_one_warning(kernel, fresh_load, monkeypatch, capsys):
-    rng = random.Random(7)
-    cases = [(random_3cnf(15, 64, rng), SolverParams(**PINNED, seed=s)) for s in range(3)]
-    expected = [result(solver, f, p) for f, p in cases for solver in SOLVERS]
+def test_missing_compiler_falls_back_with_one_warning(expected, kernel_cache, monkeypatch,
+                                                      capsys):
     capsys.readouterr()
-
-    _kernel.load.cache_clear()
     monkeypatch.setattr(_kernel, "_compiler", lambda: ["/nonexistent/cc"])
-    got = [result(solver, f, p) for f, p in cases for solver in SOLVERS]
-    assert got == expected
+    assert outcomes() == expected
     assert _kernel.load() is None
     err = capsys.readouterr().err
     assert err.count("C kernel unavailable") == 1
     assert "/nonexistent/cc" in err
+    assert list(_kernel.CACHE_DIR.iterdir()) == []
 
 
 def test_kernel_load_is_outside_wall_time(kernel, monkeypatch):
@@ -115,3 +117,68 @@ def test_kernel_load_is_outside_wall_time(kernel, monkeypatch):
     monkeypatch.setattr(_kernel, "load", slow_load)
     out = run_sa_flip(CnfFormula(3, ((1, 2, 3),)), SolverParams(seed=5))
     assert out.wall_time < 0.3
+
+
+def cached_libraries():
+    return sorted(p.name for p in _kernel.CACHE_DIR.glob("_kernel.*.so"))
+
+
+def test_cold_cache_builds_once_and_later_loads_build_nothing(expected, kernel_cache):
+    assert outcomes() == expected
+    assert kernel_cache() == 1
+    assert cached_libraries() == [_kernel._cache_path().name]
+    _kernel.load.cache_clear()
+    assert outcomes() == expected
+    assert kernel_cache() == 1
+
+
+def test_fresh_process_loads_the_cached_library(kernel, kernel_cache):
+    assert _kernel.load() is not None
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from saflip import _kernel\n"
+        "_kernel.CACHE_DIR = Path(sys.argv[1])\n"
+        "_kernel._compiler = lambda: sys.argv[2:]\n"
+        "raise SystemExit(_kernel.load() is None)\n"
+    )
+    proc = run_python("-c", code, str(_kernel.CACHE_DIR), *_kernel._compiler())
+    assert proc.returncode == 0, proc.stderr
+    assert kernel_cache() == 1
+
+
+def test_edited_source_is_rebuilt_and_the_old_library_pruned(expected, kernel_cache, monkeypatch,
+                                                             tmp_path):
+    assert outcomes() == expected
+    old = cached_libraries()
+    edited = tmp_path / "_kernel.c"
+    edited.write_bytes(_kernel.SOURCE.read_bytes() + b"\n/* edited */\n")
+    monkeypatch.setattr(_kernel, "SOURCE", edited)
+    _kernel.load.cache_clear()
+    assert outcomes() == expected
+    assert kernel_cache() == 2
+    assert cached_libraries() == [_kernel._cache_path().name]
+    assert cached_libraries() != old
+
+
+def test_garbage_library_is_rebuilt(expected, kernel_cache):
+    lib_path = _kernel._cache_path()
+    lib_path.parent.mkdir()
+    lib_path.write_bytes(b"not a shared library")
+    assert outcomes() == expected
+    assert kernel_cache() == 1
+    assert lib_path.read_bytes().startswith(b"\x7fELF")
+
+
+def test_unwritable_cache_builds_into_a_temporary_directory(expected, kernel_cache, monkeypatch,
+                                                            tmp_path, capsys):
+    capsys.readouterr()
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    monkeypatch.setattr(_kernel, "CACHE_DIR", not_a_dir / "__pycache__")
+    assert outcomes() == expected
+    assert kernel_cache() == 1
+    assert capsys.readouterr().err == ""
+    _kernel.load.cache_clear()
+    assert _kernel.load() is not None
+    assert kernel_cache() == 2

@@ -1,5 +1,5 @@
 /* One SA[Flip] or placebo run in C, step for step the Python reference loop
- * in saflip/annealing.py (`_run_loop`), with the same random draws.
+ * in saflip/annealing.py (`_run_loop`) under its acceptance `rule`.
  *
  * The random stream is CPython's random.Random: MT19937 (`genrand_uint32`),
  * `random()` from two 32-bit words, `randrange(n)` as rejection sampling over
@@ -154,14 +154,15 @@ static void flip(const Formula *f, State *s, Rng *r, int *perm)
     }
 }
 
+enum { METROPOLIS = 0, COIN = 1 }; /* saflip.annealing's acceptance rules */
 enum { RUN_OK = 0, RUN_NONPOSITIVE_TEMPERATURE = 1, RUN_NO_MEMORY = 2 };
 
-/* One run of `_run_loop`.  Clause c holds lits[ends[c - 1] .. ends[c]).
+/* One run of `_run_loop` under `rule`.  Clause c holds lits[ends[c - 1] .. ends[c]).
  * On RUN_OK, best_values gets the best assignment and out gets the best and
  * the minimum evaluated unsat counts, the Flip calls and the completed
  * temperature levels. */
 int saflip_run(int n, int m, const int *lits, const int *ends,
-               const uint32_t *rng_state, int placebo, double t0, double alpha,
+               const uint32_t *rng_state, int rule, double t0, double alpha,
                int64_t m_steps, int64_t mni, unsigned char *best_values,
                int64_t *out)
 {
@@ -226,8 +227,8 @@ int saflip_run(int n, int m, const int *lits, const int *ends,
         goto done;
 
     for (k = 0; k < mni; k++) {
+        double t = t0 * pow(alpha, (double)k);
         for (step = 0; step < m_steps; step++) {
-            double y, y_new;
             int accept;
             copy_state(&f, neighbor, state);
             apply_flip(&f, neighbor, randbelow(&rng, n) + 1);
@@ -245,14 +246,12 @@ int saflip_run(int n, int m, const int *lits, const int *ends,
                 best_unsat = state->unsat;
                 memcpy(best_values, state->values, (size_t)n);
             }
-            y = (double)state->unsat / m;
-            y_new = (double)neighbor->unsat / m;
-            if (placebo) {
+            if (rule == COIN) {
                 double p = random_double(&rng);
                 accept = random_double(&rng) < p;
             } else {
-                double u = random_double(&rng), delta_y = y_new - y;
-                double t = t0 * pow(alpha, (double)k);
+                double u = random_double(&rng);
+                double delta_y = (double)neighbor->unsat / m - (double)state->unsat / m;
                 if (!(t > 0)) {
                     status = RUN_NONPOSITIVE_TEMPERATURE;
                     goto done;

@@ -112,8 +112,9 @@ def load():
     return fn
 
 
-def run(fn, formula, params, rng_state, placebo):
-    """One run through the kernel function `fn` from `load()`.
+def run(fn, formula, params, rng_state, rule):
+    """One run through the kernel function `fn` from `load()` under the
+    acceptance `rule` (`annealing.METROPOLIS` or `annealing.COIN`).
 
     `rng_state` is the 625-word `random.Random(...).getstate()[1]`.  Returns
     (best values, best unsat count, minimum evaluated unsat count, Flip calls,
@@ -129,7 +130,7 @@ def run(fn, formula, params, rng_state, placebo):
     out = array("q", [0] * 4)
     status = fn(
         n, len(clauses), lits.buffer_info()[0], ends.buffer_info()[0],
-        state.buffer_info()[0], placebo, float(params.t0), float(params.alpha),
+        state.buffer_info()[0], rule, float(params.t0), float(params.alpha),
         params.m_steps, params.mni, best.buffer_info()[0], out.buffer_info()[0],
     )
     if status == _NONPOSITIVE_TEMPERATURE:

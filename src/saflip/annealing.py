@@ -84,13 +84,31 @@ def acceptance_probability(delta_y, t):
     return math.exp(-delta_y / t)
 
 
-def _run_loop(formula, params, accept, placebo):
+METROPOLIS, COIN = 0, 1  # acceptance rules, numbered as in `_kernel.c`
+
+
+def accept(rule, rng, delta_y, t):
+    """Whether a neighbor `delta_y` worse than the incumbent replaces it at
+    temperature t.
+
+    METROPOLIS (the annealer) draws u ~ U[0,1) and accepts iff
+    u < acceptance_probability(delta_y, t).  COIN (the placebo) draws
+    p ~ U[0,1), then u ~ U[0,1), and accepts iff u < p: a marginal rate of
+    1/2 that ignores delta_y and t.
+    """
+    if rule == COIN:
+        p = rng.random()
+        return rng.random() < p
+    return rng.random() < acceptance_probability(delta_y, t)
+
+
+def _run_loop(formula, params, rule):
     """Shared solver skeleton.
 
-    `accept(rng, delta_y, k)` decides whether a worse-or-equal neighbor
-    replaces the incumbent at iteration k; the annealer and the placebo
-    differ only in this rule.  `placebo` names the same rule to the C kernel
-    (`_kernel.c`), which runs the whole loop in one call and gives the same
+    The annealer and the placebo differ only in `rule`, the acceptance rule
+    (METROPOLIS or COIN) that decides whether a worse-or-equal neighbor
+    replaces the incumbent at temperature t = t0 * alpha**k of level k.  The
+    C kernel (`_kernel.c`) runs the whole loop in one call and gives the same
     outcome.  Without a C compiler the Python loop below runs; it is also the
     reference the kernel is tested against.
 
@@ -120,7 +138,7 @@ def _run_loop(formula, params, accept, placebo):
 
     if kernel is not None:
         best, best_unsat, min_unsat, flip_calls, k = _kernel.run(
-            kernel, formula, params, rng.getstate()[1], placebo
+            kernel, formula, params, rng.getstate()[1], rule
         )
         m = formula.num_clauses
         min_evaluated = min_unsat / m
@@ -141,6 +159,7 @@ def _run_loop(formula, params, accept, placebo):
     n = formula.num_vars
     k = 0
     while k < params.mni:
+        t = params.t0 * params.alpha**k  # t0 * alpha^k directly, so the schedule is exact
         for _ in range(params.m_steps):
             neighbor = state.copy()
             neighbor.apply_flip(rng.randrange(n) + 1)
@@ -154,7 +173,7 @@ def _run_loop(formula, params, accept, placebo):
             if y < best_y:
                 best = state.values.copy()
                 best_y = y
-            if accept(rng, y_new - y, k):
+            if accept(rule, rng, y_new - y, t):
                 state = neighbor
                 y = y_new
         k += 1
@@ -164,11 +183,4 @@ def _run_loop(formula, params, accept, placebo):
 def run_sa_flip(formula, params):
     """Simulated annealing with geometric cooling; every candidate is
     post-processed by the Flip heuristic before evaluation."""
-
-    def accept(rng, delta_y, k):
-        # t computed as t0 * alpha^k directly so the schedule is exact.
-        return rng.random() < acceptance_probability(
-            delta_y, params.t0 * params.alpha**k
-        )
-
-    return _run_loop(formula, params, accept, placebo=False)
+    return _run_loop(formula, params, METROPOLIS)

@@ -63,10 +63,6 @@ class ResultMatrix:
                     raise ValueError(f"score {y} outside [0, 1]")
 
     @property
-    def num_instances(self):
-        return len(self.instance_ids)
-
-    @property
     def num_runs(self):
         return len(self.scores[0])
 

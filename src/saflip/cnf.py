@@ -241,3 +241,12 @@ class EvalState:
 def random_assignment(num_vars, rng):
     """Uniform random bit vector; one rng draw per variable, in index order."""
     return [rng.randrange(2) for _ in range(num_vars)]
+
+
+def random_3cnf(n, m, rng, source_id="random"):
+    """Uniform random 3-CNF: three distinct variables per clause, random signs."""
+    clauses = []
+    for _ in range(m):
+        variables = rng.sample(range(1, n + 1), 3)
+        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
+    return CnfFormula(num_vars=n, clauses=tuple(clauses), source_id=source_id)

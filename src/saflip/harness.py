@@ -373,16 +373,11 @@ def _run_cell_safe(job):
 def summarize(ym, y0, deltas=DEFAULT_DELTAS, out_dir=None, bins=20):
     """Mean scores, success rates, BER tables per delta, and distribution
     plot data for a paired matrix pair; optionally persisted under out_dir."""
+    pair = ((ym.algorithm_label or "sa", ym), (y0.algorithm_label or "placebo", y0))
     summary = {
-        "algorithms": [ym.algorithm_label or "sa", y0.algorithm_label or "placebo"],
-        "mean_y": {
-            ym.algorithm_label or "sa": _group_means(ym),
-            y0.algorithm_label or "placebo": _group_means(y0),
-        },
-        "success_rate": {
-            ym.algorithm_label or "sa": success_rate(ym),
-            y0.algorithm_label or "placebo": success_rate(y0),
-        },
+        "algorithms": [label for label, _ in pair],
+        "mean_y": {label: _group_means(m) for label, m in pair},
+        "success_rate": {label: success_rate(m) for label, m in pair},
         "ber": {},
     }
     ber_tables = {}
@@ -398,7 +393,7 @@ def summarize(ym, y0, deltas=DEFAULT_DELTAS, out_dir=None, bins=20):
         for delta, reports in ber_tables.items():
             write_ber_csv(reports, out_dir / f"ber_{delta:.4f}.csv")
         (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-        _write_plot_outputs(ym, y0, out_dir, bins)
+        _write_plot_outputs(pair, out_dir, bins)
     return summary
 
 
@@ -416,12 +411,12 @@ def _group_means(matrix):
     }
 
 
-def _write_plot_outputs(ym, y0, out_dir, bins):
+def _write_plot_outputs(pair, out_dir, bins):
+    """ECDF and histogram plots per group of the (label, matrix) pair."""
     plot_dir = Path(out_dir) / "plots"
-    labels = (ym.algorithm_label or "sa", y0.algorithm_label or "placebo")
-    cells = [_group_cells(ym), _group_cells(y0)]
-    for group in cells[0]:
-        series = {label: by_group[group] for label, by_group in zip(labels, cells)}
+    cells = [(label, _group_cells(m)) for label, m in pair]
+    for group in cells[0][1]:
+        series = {label: by_group[group] for label, by_group in cells}
         tag = group.replace(" ", "_")
         (plot_dir / f"ecdf_{tag}.svg").write_text(
             plots.ecdf_svg(series, title=f"ECDF of scores ({group})")
@@ -464,14 +459,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc, base_dir=Path(".")):
-        errors = []
-        known = {
-            "benchmarks", "out_dir", "master_seed", "n_runs", "deltas", "split",
-            "groups", "limit_per_group", "validate_phase_transition", "params",
-        }
-        for key in doc:
-            if key not in known:
-                errors.append(f"unknown config key {key!r}")
+        known = {f.name for f in dataclasses.fields(cls)}
+        errors = [f"unknown config key {key!r}" for key in doc if key not in known]
         if "benchmarks" not in doc:
             errors.append("missing required key 'benchmarks'")
         if "out_dir" not in doc:

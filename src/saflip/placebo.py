@@ -1,20 +1,8 @@
-"""Placebo counterpart of the annealer: same skeleton, purely random acceptance."""
+"""Placebo counterpart of the annealer: same skeleton, coin-flip acceptance."""
 
 from __future__ import annotations
 
-from .annealing import _run_loop
-
-
-def placebo_accept(rng, delta_y=None, k=None):
-    """Accept the neighbor with a freshly drawn random probability.
-
-    Two independent uniform draws: p ~ U[0,1], then u ~ U[0,1]; the neighbor
-    is accepted iff u < p, so the marginal acceptance rate is 1/2.  The score
-    difference and iteration index are ignored.
-    """
-    p = rng.random()
-    u = rng.random()
-    return u < p
+from .annealing import COIN, _run_loop
 
 
 def run_placebo_flip(formula, params):
@@ -25,4 +13,4 @@ def run_placebo_flip(formula, params):
     params.t0 and params.alpha are accepted but ignored; only m_steps, mni,
     and seed are used.
     """
-    return _run_loop(formula, params, placebo_accept, placebo=True)
+    return _run_loop(formula, params, COIN)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from saflip.cnf import CnfFormula, EvalState
+from saflip.cnf import CnfFormula, EvalState, random_3cnf  # noqa: F401 (used by the tests)
 
 DATA_DIR = Path(__file__).parent / "data" / "instances"
 
@@ -21,15 +21,6 @@ def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH", "")) if p)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
-
-
-def random_3cnf(n, m, rng, source_id="random"):
-    """Uniform random 3-CNF: three distinct variables per clause, random signs."""
-    clauses = []
-    for _ in range(m):
-        variables = rng.sample(range(1, n + 1), 3)
-        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
-    return CnfFormula(num_vars=n, clauses=tuple(clauses), source_id=source_id)
 
 
 def brute_force_unsat_count(formula, values):

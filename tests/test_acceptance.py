@@ -13,12 +13,12 @@ import random
 
 import pytest
 
-from saflip.annealing import SolverParams, run_sa_flip
+from saflip.annealing import COIN, SolverParams, accept, run_sa_flip
 from saflip.ber import ber_grouped, ber_pairwise, success_rate
 from saflip.doe import box_behnken_4, estimate_effects, fractional_factorial_2_4_1
 from saflip.flip import flip
 from saflip.harness import ExperimentPlan, execute
-from saflip.placebo import placebo_accept, run_placebo_flip
+from saflip.placebo import run_placebo_flip
 
 from conftest import AuditedState, random_3cnf
 from test_ber import make_matrix, oracle_ber
@@ -195,7 +195,7 @@ def test_criterion_9_budget_parity_and_acceptance_rate(fixture_benchmarks):
 
     rng = random.Random(909)
     trials = 100_000
-    rate = sum(placebo_accept(rng) for _ in range(trials)) / trials
+    rate = sum(accept(COIN, rng, 0.0, 1.0) for _ in range(trials)) / trials
     rate_ok = abs(rate - 0.5) <= 0.01
     report(9, budget_ok and rate_ok,
            f"budgets ok={budget_ok}, acceptance rate {rate:.4f}")

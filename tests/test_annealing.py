@@ -5,8 +5,11 @@ import random
 import pytest
 
 from saflip.annealing import (
+    COIN,
+    METROPOLIS,
     RunOutcome,
     SolverParams,
+    accept,
     acceptance_probability,
     run_sa_flip,
 )
@@ -41,6 +44,24 @@ class TestAcceptanceProbability:
         for _ in range(1000):
             delta = rng.uniform(1e-6, 1.0)
             assert acceptance_probability(delta, 1e-300) == 0.0
+
+
+@pytest.mark.parametrize("rule, draws", [(METROPOLIS, 1), (COIN, 2)], ids=["metropolis", "coin"])
+def test_accept_draw_count(rule, draws):
+    """Each decision draws the same number of uniforms whatever the score
+    difference, so the stream stays aligned with the C kernel's."""
+
+    class CountingRng(random.Random):
+        draws = 0
+
+        def random(self):
+            self.draws += 1
+            return super().random()
+
+    for delta_y in (-0.1, 0.0, 0.1):
+        rng = CountingRng(1)
+        accept(rule, rng, delta_y, 1.0)
+        assert rng.draws == draws
 
 
 class TestSolverParams:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -47,7 +48,7 @@ class TestRun:
         paths = json.loads(out)
         sa = read_result_csv(paths["results_sa"])
         pl = read_result_csv(paths["results_placebo"])
-        assert sa.num_instances == 2 and sa.num_runs == 2
+        assert len(sa.instance_ids) == 2 and sa.num_runs == 2
         assert sa.seeds == pl.seeds
         assert (tmp_path / "out" / "summary.json").exists()
 
@@ -73,12 +74,12 @@ class TestRun:
         code, out, _ = run_cli(capsys, "run", "--config", str(config))
         assert code == 0
         first = json.loads(out)
-        sa_bytes = open(first["results_sa"], "rb").read()
+        sa_bytes = Path(first["results_sa"]).read_bytes()
         code, out, err = run_cli(
             capsys, "run", "--config", str(config), "--resume"
         )
         assert code == 0
-        assert open(json.loads(out)["results_sa"], "rb").read() == sa_bytes
+        assert Path(json.loads(out)["results_sa"]).read_bytes() == sa_bytes
         assert "run 0" not in err  # nothing recomputed
 
     def test_resume_after_torn_journal_line(self, tmp_path, capsys):
@@ -86,7 +87,7 @@ class TestRun:
         code, out, _ = run_cli(capsys, "run", "--config", str(whole))
         assert code == 0
         expected = {
-            key: open(path, "rb").read()
+            key: Path(path).read_bytes()
             for key, path in json.loads(out).items()
             if key.startswith("results_")
         }
@@ -100,7 +101,7 @@ class TestRun:
         assert code == 0
         assert err.count("run ") == 1  # only the torn cell ran again
         for key, content in expected.items():
-            assert open(json.loads(out)[key], "rb").read() == content
+            assert Path(json.loads(out)[key]).read_bytes() == content
         assert without_wall_time(journal.read_text()) == without_wall_time(full)
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
@@ -184,7 +185,7 @@ class TestBer:
     @pytest.mark.parametrize("command", ["ber", "report"])
     def test_duplicate_run_row_exits_2(self, tmp_path, capsys, command):
         paths = self._results(tmp_path, capsys)
-        lines = open(paths["results_sa"]).read().splitlines(keepends=True)
+        lines = Path(paths["results_sa"]).read_text().splitlines(keepends=True)
         dup = tmp_path / "dup.csv"
         dup.write_text("".join(lines[:2] + lines[1:]))
         code, _, err = run_cli(
@@ -385,7 +386,7 @@ class TestFetch:
         )
         assert code == 0
         produced = json.loads(out)
-        manifest = json.loads(open(produced["manifest"]).read())
+        manifest = json.loads(Path(produced["manifest"]).read_text())
         assert len(manifest) == 2
 
     def test_missing_source_exits_2(self, tmp_path, capsys):

@@ -150,7 +150,7 @@ class TestExecute:
         matrices, failed = execute(plan)
         assert failed == []
         sa, pl = matrices["sa"], matrices["placebo"]
-        assert sa.num_instances == pl.num_instances == 2
+        assert len(sa.instance_ids) == len(pl.instance_ids) == 2
         assert sa.num_runs == pl.num_runs == 3
         assert sa.seeds == pl.seeds == plan.seed_matrix()
 

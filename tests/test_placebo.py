@@ -1,9 +1,9 @@
 import dataclasses
 import random
 
-from saflip.annealing import SolverParams
+from saflip.annealing import COIN, SolverParams, accept
 from saflip.cnf import CnfFormula
-from saflip.placebo import placebo_accept, run_placebo_flip
+from saflip.placebo import run_placebo_flip
 
 from conftest import PINNED, random_3cnf
 
@@ -55,21 +55,8 @@ def test_acceptance_rate_is_half():
     # p ~ U[0,1] then u ~ U[0,1], accept iff u < p: marginal rate 1/2.
     rng = random.Random(2024)
     n = 100_000
-    accepted = sum(placebo_accept(rng) for _ in range(n))
+    accepted = sum(accept(COIN, rng, 0.0, 1.0) for _ in range(n))
     assert abs(accepted / n - 0.5) < 0.01
-
-
-def test_acceptance_consumes_two_uniforms():
-    class CountingRng(random.Random):
-        draws = 0
-
-        def random(self):
-            self.draws += 1
-            return super().random()
-
-    rng = CountingRng(1)
-    placebo_accept(rng)
-    assert rng.draws == 2
 
 
 def test_best_score_non_increasing():

@@ -16,18 +16,10 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from saflip.annealing import SolverParams, run_sa_flip
-from saflip.cnf import CnfFormula, serialize_dimacs
+from saflip.cnf import random_3cnf, serialize_dimacs
 
 CLAUSE_COUNTS = {50: 218, 75: 325, 100: 430, 125: 538}
 SEARCH_PARAMS = SolverParams(t0=51.71, alpha=0.92, m_steps=50, mni=103)
-
-
-def random_3cnf(n, m, rng, source_id):
-    clauses = []
-    for _ in range(m):
-        variables = rng.sample(range(1, n + 1), 3)
-        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in variables))
-    return CnfFormula(num_vars=n, clauses=tuple(clauses), source_id=source_id)
 
 
 def is_solvable(formula, seeds):

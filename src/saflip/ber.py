@@ -146,7 +146,7 @@ def check_delta(delta):
     return delta
 
 
-def ber_pairwise(ym, y0, delta, group="overall"):
+def ber_pairwise(ym, y0, delta):
     """BER over all within-instance ordered run pairs of two paired matrices.
 
     b counts pairs where the first algorithm's score beats the second's by
@@ -155,7 +155,7 @@ def ber_pairwise(ym, y0, delta, group="overall"):
     """
     check_delta(delta)
     check_paired(ym, y0)
-    return _make_report(ym.scores, y0.scores, delta, group)
+    return _make_report(ym.scores, y0.scores, delta, "overall")
 
 
 def ber_grouped(ym, y0, delta):

@@ -81,7 +81,7 @@ def cmd_fetch(args):
             validate_phase_transition=not args.no_validate,
             manifest_path=cache / "manifest.json",
         )
-    except (harness.BenchmarkError, ValueError) as exc:
+    except ValueError as exc:
         _err(f"ingest failed: {exc}")
         return EXIT_USAGE
     _err(f"ingested {len(bset.instances)} instances in groups {bset.groups()}")
@@ -89,24 +89,24 @@ def cmd_fetch(args):
     return EXIT_OK
 
 
-def _load_config(path):
-    return harness.ExperimentConfig.from_file(path)
+def _load_plan(args):
+    """(plan, benchmark set, output directory) of the --config file, with
+    --seed and --out applied."""
+    config = harness.ExperimentConfig.from_file(args.config)
+    if args.seed is not None:
+        config.master_seed = args.seed
+    plan, bset = config.build_plan()
+    return plan, bset, Path(args.out or config.out_dir)
 
 
 def cmd_run(args):
     try:
-        config = _load_config(args.config)
-        if args.seed is not None:
-            config.master_seed = args.seed
-        if args.out:
-            config.out_dir = args.out
-        plan, bset = config.build_plan()
-    except (ValueError, harness.BenchmarkError) as exc:
+        algorithms = harness.check_algorithms(args.algorithms.split(","))
+        plan, bset, out_dir = _load_plan(args)
+    except ValueError as exc:
         _err(f"config error: {exc}")
         return EXIT_USAGE
 
-    algorithms = tuple(args.algorithms.split(","))
-    out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").write_text(
         json.dumps(bset.manifest(), indent=2) + "\n"
@@ -116,12 +116,11 @@ def cmd_run(args):
         journal.unlink()
 
     total = len(plan.instances) * plan.n_runs * len(algorithms)
-    count = [0]
+    count = itertools.count(1)
 
     def progress(rec):
-        count[0] += 1
         _err(
-            f"[{count[0]}/{total}] {rec['algorithm']} {rec['instance_id']} "
+            f"[{next(count)}/{total}] {rec['algorithm']} {rec['instance_id']} "
             f"run {rec['run_index']}: y={rec.get('y', 'FAILED')}"
         )
 
@@ -142,11 +141,10 @@ def cmd_run(args):
         write_result_csv(matrix, csv_path)
         paths[f"results_{algo}"] = str(csv_path)
 
-    if len(matrices) == 2:
-        ym, y0 = (matrices.get("sa"), matrices.get("placebo"))
-        if ym is not None and y0 is not None:
-            harness.summarize(ym, y0, deltas=plan.deltas, out_dir=out_dir)
-            paths["summary"] = str(out_dir / "summary.json")
+    if {"sa", "placebo"} <= matrices.keys():
+        harness.summarize(matrices["sa"], matrices["placebo"], deltas=plan.deltas,
+                          out_dir=out_dir)
+        paths["summary"] = str(out_dir / "summary.json")
     _emit(paths)
     return EXIT_OK
 
@@ -216,20 +214,16 @@ def _mean_score(plan):
 
 def cmd_tune(args):
     try:
-        config = _load_config(args.config)
-        if args.seed is not None:
-            config.master_seed = args.seed
-        plan, _ = config.build_plan()
+        plan, _, out_dir = _load_plan(args)
         plan = dataclasses.replace(plan, n_runs=args.runs)
         if args.phase == "screen":
             design = doe.box_behnken_4(center_points=args.center_points)
         else:
             # The walk's first design must already lie inside the bounds.
-            doe.fractional_factorial_2_4_1(config.params)
-    except (ValueError, harness.BenchmarkError) as exc:
+            doe.fractional_factorial_2_4_1(plan.params)
+    except ValueError as exc:
         _err(f"config error: {exc}")
         return EXIT_USAGE
-    out_dir = Path(args.out or config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.phase == "screen":
@@ -280,7 +274,7 @@ def cmd_tune(args):
     trace_path = out_dir / "rsm_trace.json"
     try:
         trace, final = doe.rsm_walk(
-            config.params,
+            plan.params,
             budget_limit=args.budget_limit,
             evaluator=evaluate,
             dead_band=args.dead_band,

@@ -3,6 +3,7 @@ run grids, execution with a resumable journal, and summary reports."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import gzip
@@ -136,7 +137,7 @@ def ingest_benchmarks(sources, validate_phase_transition=True, manifest_path=Non
     """
     if isinstance(sources, (str, Path)):
         sources = [sources]
-    seen = {}
+    digests, ids = set(), set()
     collected = []
     for source in sources:
         for name, text in _iter_cnf_texts(source):
@@ -145,11 +146,12 @@ def ingest_benchmarks(sources, validate_phase_transition=True, manifest_path=Non
             if validate_phase_transition:
                 _validate_phase_transition(formula, name)
             digest = formula.digest()
-            if digest in seen:
+            if digest in digests:
                 continue
-            if any(inst.instance_id == instance_id for inst in collected):
+            if instance_id in ids:
                 raise BenchmarkError(f"duplicate instance id {instance_id!r}")
-            seen[digest] = name
+            digests.add(digest)
+            ids.add(instance_id)
             collected.append(
                 BenchmarkInstance(
                     formula=formula,
@@ -167,20 +169,20 @@ def ingest_benchmarks(sources, validate_phase_transition=True, manifest_path=Non
     return bset
 
 
-def split_train_test(benchmarks, master_seed, train_per_group=TRAIN_PER_GROUP):
-    """Seeded per-group shuffle; the first `train_per_group` instances of each
+def split_train_test(benchmarks, master_seed):
+    """Seeded per-group shuffle; the first TRAIN_PER_GROUP instances of each
     group become the training set, the rest the test set."""
     for group in benchmarks.groups():
         members = [i for i in benchmarks.instances if i.group == group]
-        if len(members) < train_per_group:
+        if len(members) < TRAIN_PER_GROUP:
             raise BenchmarkError(
                 f"group n={group} has {len(members)} instances, "
-                f"need >= {train_per_group} for the split"
+                f"need >= {TRAIN_PER_GROUP} for the split"
             )
         order = sorted(members, key=lambda i: i.instance_id)
         random.Random(derive_seed(master_seed, f"split-n{group}", 0)).shuffle(order)
         for rank, inst in enumerate(order):
-            inst.split = "train" if rank < train_per_group else "test"
+            inst.split = "train" if rank < TRAIN_PER_GROUP else "test"
     return benchmarks
 
 
@@ -222,18 +224,24 @@ class ExperimentPlan:
         ]
 
 
-def _run_cell(args):
-    algo, formula, params = args
-    outcome = ALGORITHMS[algo](formula, params)
-    _check_outcome(formula, outcome)
-    return {
-        "y": outcome.best_score,
-        "flip_calls": outcome.flip_calls,
-        "iterations": outcome.iterations_completed,
-        "solved": outcome.solved,
-        "wall_time": outcome.wall_time,
-        "min_evaluated_score": outcome.min_evaluated_score,
-    }
+def _run_cell(cell):
+    """The journal record of one (algorithm, instance, run) cell: its result,
+    or the error that failed it.  The solver is looked up here, when the
+    cell runs, so a replaced ALGORITHMS entry reaches forked workers too."""
+    algo, instance_id, run_index, formula, params = cell
+    rec = {"algorithm": algo, "instance_id": instance_id, "run_index": run_index,
+           "seed": params.seed}
+    try:
+        outcome = ALGORITHMS[algo](formula, params)
+        _check_outcome(formula, outcome)
+    except Exception as exc:  # cell failures must not kill the experiment
+        rec["error"] = f"{type(exc).__name__}: {exc}"
+        return rec
+    rec.update(y=outcome.best_score, flip_calls=outcome.flip_calls,
+               iterations=outcome.iterations_completed, solved=outcome.solved,
+               wall_time=outcome.wall_time,
+               min_evaluated_score=outcome.min_evaluated_score)
+    return rec
 
 
 def _check_outcome(formula, outcome):
@@ -254,99 +262,90 @@ def _check_outcome(formula, outcome):
         )
 
 
+def check_algorithms(names):
+    """`names` as a tuple; raises ValueError on an unknown or repeated name."""
+    if not set(names) <= ALGORITHMS.keys() or len(set(names)) < len(names):
+        raise ValueError(f"algorithms must be distinct names out of "
+                         f"{sorted(ALGORITHMS)}, got {list(names)}")
+    return tuple(names)
+
+
+def _key(rec):
+    return rec["algorithm"], rec["instance_id"], rec["run_index"]
+
+
+def _records(cells, jobs):
+    """The record of each cell, in order; `jobs` > 1 runs them in a pool of
+    that many processes."""
+    if jobs > 1 and cells:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # Load the C kernel once, here: forked workers inherit the
+        # loaded library instead of racing to compile it on a cold cache.
+        _kernel.load()
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(_run_cell, cells)
+    else:
+        yield from map(_run_cell, cells)
+
+
 def execute(plan, algorithms=("sa", "placebo"), jobs=1, journal_path=None,
             progress=None):
-    """Run every (instance, seed, algorithm) cell of the plan.
+    """Run every (instance, seed, algorithm) cell of the plan; return the
+    score matrix of each algorithm and the failed (instance, run) cells.
 
-    Cells already present in the journal (a JSONL file) are skipped, making
-    interrupted experiments resumable; the journal records the seed each
-    algorithm consumed so pairing can be audited afterwards.  Failed cells
-    are journaled with an error and excluded from the matrices of *both*
-    algorithms with a warning.
+    Each cell yields one record (algorithm, instance, run index, seed, then
+    the outcome or an error), the same for every `jobs` value.  Records are
+    appended to the journal (a JSONL file) as they arrive and handed to
+    `progress`; cells already in the journal are skipped, which makes an
+    interrupted experiment resumable and lets the seed pairing be audited.
+    A failed cell removes its run column from the matrices of every
+    algorithm, so they stay rectangular and paired.
     """
-    for algo in algorithms:
-        if algo not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algo!r}")
-    seeds = plan.seed_matrix()
-
+    algorithms = check_algorithms(algorithms)
     done = {}
-    journal_file = None
-    if journal_path:
-        journal_path = Path(journal_path)
-        if journal_path.exists():
-            for rec in _read_journal(journal_path):
-                done[(rec["algorithm"], rec["instance_id"], rec["run_index"])] = rec
-        journal_file = open(journal_path, "a")
+    if journal_path and Path(journal_path).exists():
+        done = {_key(rec): rec for rec in _read_journal(Path(journal_path))}
 
-    pending = []
-    for i, inst in enumerate(plan.instances):
-        for j in range(plan.n_runs):
-            for algo in algorithms:
-                key = (algo, inst.instance_id, j)
-                if key in done:
-                    continue
-                params = dataclasses.replace(plan.params, seed=seeds[i][j])
-                pending.append((key, (algo, inst.formula, params)))
+    seeds = plan.seed_matrix()
+    cells = [
+        (algo, inst.instance_id, j, inst.formula,
+         dataclasses.replace(plan.params, seed=seeds[i][j]))
+        for i, inst in enumerate(plan.instances)
+        for j in range(plan.n_runs)
+        for algo in algorithms
+        if (algo, inst.instance_id, j) not in done
+    ]
+    sink = open(journal_path, "a") if journal_path else contextlib.nullcontext()
+    with sink as journal:
+        for rec in _records(cells, jobs):
+            done[_key(rec)] = rec
+            if journal:
+                journal.write(json.dumps(rec) + "\n")
+                journal.flush()
+            if progress:
+                progress(rec)
 
-    def record(key, result):
-        algo, instance_id, j = key
-        rec = {"algorithm": algo, "instance_id": instance_id, "run_index": j,
-               "seed": result["seed"], **{k: v for k, v in result.items() if k != "seed"}}
-        done[key] = rec
-        if journal_file:
-            journal_file.write(json.dumps(rec) + "\n")
-            journal_file.flush()
-        if progress:
-            progress(rec)
-
-    try:
-        if jobs > 1 and pending:
-            from concurrent.futures import ProcessPoolExecutor
-
-            # Load the C kernel once, here: forked workers inherit the
-            # loaded library instead of racing to compile it on a cold cache.
-            _kernel.load()
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for (key, job), result in zip(
-                    pending, pool.map(_run_cell_safe, [job for _, job in pending])
-                ):
-                    result["seed"] = job[2].seed
-                    record(key, result)
-        else:
-            for key, job in pending:
-                result = _run_cell_safe(job)
-                result["seed"] = job[2].seed
-                record(key, result)
-    finally:
-        if journal_file:
-            journal_file.close()
-
-    failed = sorted(
-        {(iid, j) for (_, iid, j), rec in done.items() if "error" in rec}
-    )
-    # Keep the matrices rectangular: a failed cell removes that run column
-    # for every instance and both algorithms.
+    failed = sorted({(iid, j) for (_, iid, j), rec in done.items() if "error" in rec})
     failed_cols = {j for _, j in failed}
     kept_cols = [j for j in range(plan.n_runs) if j not in failed_cols]
     if not kept_cols:
         raise RuntimeError("every run column contains a failed cell")
-    matrices = {}
-    for algo in algorithms:
-        scores, row_seeds = [], []
-        for i, inst in enumerate(plan.instances):
-            scores.append(
-                [done[(algo, inst.instance_id, j)]["y"] for j in kept_cols]
-            )
-            row_seeds.append(
-                [done[(algo, inst.instance_id, j)]["seed"] for j in kept_cols]
-            )
-        matrices[algo] = ResultMatrix(
+
+    def column(algo, name):
+        return [[done[(algo, inst.instance_id, j)][name] for j in kept_cols]
+                for inst in plan.instances]
+
+    matrices = {
+        algo: ResultMatrix(
             instance_ids=[inst.instance_id for inst in plan.instances],
             group_keys=[inst.group for inst in plan.instances],
-            seeds=row_seeds,
-            scores=scores,
+            seeds=column(algo, "seed"),
+            scores=column(algo, "y"),
             algorithm_label=algo,
         )
+        for algo in algorithms
+    }
     return matrices, failed
 
 
@@ -363,37 +362,25 @@ def _read_journal(path):
     return [json.loads(line) for line in lines if line.strip()]
 
 
-def _run_cell_safe(job):
-    try:
-        return _run_cell(job)
-    except Exception as exc:  # cell failures must not kill the experiment
-        return {"error": f"{type(exc).__name__}: {exc}"}
-
-
-def summarize(ym, y0, deltas=DEFAULT_DELTAS, out_dir=None, bins=20):
-    """Mean scores, success rates, BER tables per delta, and distribution
-    plot data for a paired matrix pair; optionally persisted under out_dir."""
+def summarize(ym, y0, out_dir, deltas=DEFAULT_DELTAS):
+    """Mean scores, success rates and BER tables per delta of a paired
+    matrix pair, written under out_dir (summary.json, ber_<delta>.csv) with
+    per-group distribution plots; returns the summary."""
     pair = ((ym.algorithm_label or "sa", ym), (y0.algorithm_label or "placebo", y0))
+    ber_tables = {delta: ber_grouped(ym, y0, delta) for delta in deltas}
     summary = {
         "algorithms": [label for label, _ in pair],
         "mean_y": {label: _group_means(m) for label, m in pair},
         "success_rate": {label: success_rate(m) for label, m in pair},
-        "ber": {},
+        "ber": {f"{delta:.4f}": [rep.as_dict() for rep in reports]
+                for delta, reports in ber_tables.items()},
     }
-    ber_tables = {}
-    for delta in deltas:
-        reports = ber_grouped(ym, y0, delta)
-        ber_tables[delta] = reports
-        summary["ber"][f"{delta:.4f}"] = [rep.as_dict() for rep in reports]
-
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "plots").mkdir(exist_ok=True)
-        for delta, reports in ber_tables.items():
-            write_ber_csv(reports, out_dir / f"ber_{delta:.4f}.csv")
-        (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-        _write_plot_outputs(pair, out_dir, bins)
+    out_dir = Path(out_dir)
+    (out_dir / "plots").mkdir(parents=True, exist_ok=True)
+    for delta, reports in ber_tables.items():
+        write_ber_csv(reports, out_dir / f"ber_{delta:.4f}.csv")
+    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _write_plot_outputs(pair, out_dir / "plots")
     return summary
 
 
@@ -411,9 +398,8 @@ def _group_means(matrix):
     }
 
 
-def _write_plot_outputs(pair, out_dir, bins):
+def _write_plot_outputs(pair, plot_dir):
     """ECDF and histogram plots per group of the (label, matrix) pair."""
-    plot_dir = Path(out_dir) / "plots"
     cells = [(label, _group_cells(m)) for label, m in pair]
     for group in cells[0][1]:
         series = {label: by_group[group] for label, by_group in cells}
@@ -422,7 +408,7 @@ def _write_plot_outputs(pair, out_dir, bins):
             plots.ecdf_svg(series, title=f"ECDF of scores ({group})")
         )
         (plot_dir / f"hist_{tag}.svg").write_text(
-            plots.histogram_svg(series, bins=bins, title=f"Score histogram ({group})")
+            plots.histogram_svg(series, title=f"Score histogram ({group})")
         )
         with open(plot_dir / f"ecdf_{tag}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -436,10 +422,21 @@ def _write_plot_outputs(pair, out_dir, bins):
 # Experiment config file (JSON)
 
 
+def _is_int(value):
+    return type(value) is int  # not bool
+
+
+def _list_of(ok):
+    return lambda v: type(v) in (list, tuple) and all(map(ok, v))
+
+
 @dataclass
 class ExperimentConfig:
-    benchmarks: list
-    out_dir: str
+    """An experiment config; `__post_init__` checks the type of every value
+    and converts it, resolving paths against `base_dir`."""
+
+    benchmarks: list = None  # required: a path or a list of paths
+    out_dir: str = None  # required
     master_seed: int = 0
     n_runs: int = DEFAULT_RUNS_PER_INSTANCE
     deltas: tuple = DEFAULT_DELTAS
@@ -448,6 +445,41 @@ class ExperimentConfig:
     limit_per_group: int = 0  # 0 means no limit
     validate_phase_transition: bool = True
     params: SolverParams = field(default_factory=SolverParams)
+    base_dir: dataclasses.InitVar[Path] = Path(".")
+
+    def __post_init__(self, base_dir):
+        missing = [key for key in ("benchmarks", "out_dir") if getattr(self, key) is None]
+        errors = [f"missing required key {key!r}" for key in missing]
+        if isinstance(self.benchmarks, str):
+            self.benchmarks = [self.benchmarks]
+        for key, ok, kind in (
+            ("benchmarks", _list_of(lambda b: type(b) is str), "a path or a list of paths"),
+            ("out_dir", lambda v: type(v) is str, "a path"),
+            ("master_seed", _is_int, "an integer"),
+            ("n_runs", _is_int, "an integer"),
+            ("deltas", _list_of(lambda d: type(d) in (int, float)), "a list of numbers"),
+            ("split", lambda v: v in ("", "train", "test"), '"", "train" or "test"'),
+            ("groups", _list_of(_is_int), "a list of integers"),
+            ("limit_per_group", _is_int, "an integer"),
+            ("validate_phase_transition", lambda v: type(v) is bool, "true or false"),
+            ("params", lambda v: type(v) in (dict, SolverParams), "an object"),
+        ):
+            value = getattr(self, key)
+            if key not in missing and not ok(value):
+                errors.append(f"{key} must be {kind}, got {value!r}")
+        if isinstance(self.params, dict):
+            try:
+                if "seed" in self.params:
+                    raise ValueError("seed is derived per run")
+                self.params = SolverParams(**self.params)
+            except (TypeError, ValueError) as exc:
+                errors.append(f"bad params: {exc}")
+        if errors:
+            raise ValueError("; ".join(errors))
+        self.benchmarks = [str(base_dir / b) for b in self.benchmarks]
+        self.out_dir = str(base_dir / self.out_dir)
+        self.deltas = tuple(self.deltas)
+        self.groups = tuple(self.groups)
 
     @classmethod
     def from_file(cls, path):
@@ -455,41 +487,18 @@ class ExperimentConfig:
             doc = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"cannot read config {path}: {exc}") from exc
-        return cls.from_dict(doc, base_dir=Path(path).parent)
-
-    @classmethod
-    def from_dict(cls, doc, base_dir=Path(".")):
+        if not isinstance(doc, dict):
+            raise ValueError(f"config {path} is not a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         errors = [f"unknown config key {key!r}" for key in doc if key not in known]
-        if "benchmarks" not in doc:
-            errors.append("missing required key 'benchmarks'")
-        if "out_dir" not in doc:
-            errors.append("missing required key 'out_dir'")
-        params_doc = doc.get("params", {})
         try:
-            if "seed" in params_doc:
-                raise ValueError("seed is derived per run")
-            params = SolverParams(**params_doc)
-        except (TypeError, ValueError) as exc:
-            errors.append(f"bad params: {exc}")
-            params = SolverParams()
+            config = cls(**{k: v for k, v in doc.items() if k in known},
+                         base_dir=Path(path).parent)
+        except ValueError as exc:
+            errors.append(str(exc))
         if errors:
             raise ValueError("; ".join(errors))
-        benchmarks = doc["benchmarks"]
-        if isinstance(benchmarks, str):
-            benchmarks = [benchmarks]
-        return cls(
-            benchmarks=[str((base_dir / b)) for b in benchmarks],
-            out_dir=str(base_dir / doc["out_dir"]),
-            master_seed=int(doc.get("master_seed", 0)),
-            n_runs=int(doc.get("n_runs", DEFAULT_RUNS_PER_INSTANCE)),
-            deltas=tuple(doc.get("deltas", DEFAULT_DELTAS)),
-            split=doc.get("split", ""),
-            groups=tuple(doc.get("groups", ())),
-            limit_per_group=int(doc.get("limit_per_group", 0)),
-            validate_phase_transition=bool(doc.get("validate_phase_transition", True)),
-            params=params,
-        )
+        return config
 
     def build_plan(self):
         bset = ingest_benchmarks(

@@ -9,6 +9,7 @@ from __future__ import annotations
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 55
 COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+BINS = 20
 
 
 def _fmt(x):
@@ -17,26 +18,21 @@ def _fmt(x):
 
 def ecdf_points(values):
     """Sorted (value, cumulative fraction) step points of the empirical CDF."""
-    values = sorted(values)
     n = len(values)
-    points = []
-    for i, v in enumerate(values, start=1):
-        points.append((v, i / n))
-    return points
+    return [(v, i / n) for i, v in enumerate(sorted(values), start=1)]
 
 
-def histogram_counts(values, bins=20, lo=None, hi=None):
-    """Equal-width bin edges and counts; degenerate data gets one unit bin."""
-    lo = min(values) if lo is None else lo
-    hi = max(values) if hi is None else hi
+def histogram_counts(values, lo, hi):
+    """BINS equal-width bin edges over [lo, hi] and the counts of `values`;
+    an empty range is widened to 1e-9."""
     if hi <= lo:
         hi = lo + 1e-9
-    width = (hi - lo) / bins
-    counts = [0] * bins
+    width = (hi - lo) / BINS
+    counts = [0] * BINS
     for v in values:
-        idx = min(int((v - lo) / width), bins - 1)
+        idx = min(int((v - lo) / width), BINS - 1)
         counts[idx] += 1
-    edges = [lo + i * width for i in range(bins + 1)]
+    edges = [lo + i * width for i in range(BINS + 1)]
     return edges, counts
 
 
@@ -104,11 +100,11 @@ class _Canvas:
         return "".join(self.parts) + "</svg>\n"
 
 
-def ecdf_svg(series, title="ECDF of performance scores", xlabel="score",
-             ylabel="cumulative fraction"):
+def ecdf_svg(series, title="ECDF of performance scores"):
     """Render one or more ECDFs; `series` maps label -> list of values."""
     xmax = max((max(vs) for vs in series.values() if vs), default=0.0)
-    canvas = _Canvas(title, xlabel, ylabel, xmax=max(xmax, 1e-12), ymax=1.0)
+    canvas = _Canvas(title, "score", "cumulative fraction", xmax=max(xmax, 1e-12),
+                     ymax=1.0)
     for i, (label, values) in enumerate(series.items()):
         if not values:
             continue
@@ -128,19 +124,18 @@ def ecdf_svg(series, title="ECDF of performance scores", xlabel="score",
     return canvas.render()
 
 
-def histogram_svg(series, bins=20, title="Histogram of performance scores",
-                  xlabel="score", ylabel="runs"):
-    """Render overlaid histograms sharing one set of bin edges."""
+def histogram_svg(series, title="Histogram of performance scores"):
+    """Render overlaid histograms sharing one set of BINS bin edges."""
     all_values = [v for vs in series.values() for v in vs]
     lo = min(all_values, default=0.0)
     hi = max(all_values, default=1.0)
     per_series = {
-        label: histogram_counts(values, bins=bins, lo=lo, hi=hi)
+        label: histogram_counts(values, lo, hi)
         for label, values in series.items()
         if values
     }
     ymax = max((max(c) for _, c in per_series.values()), default=1)
-    canvas = _Canvas(title, xlabel, ylabel, xmax=max(hi - lo, 1e-12), ymax=float(ymax))
+    canvas = _Canvas(title, "score", "runs", xmax=max(hi - lo, 1e-12), ymax=float(ymax))
     k = max(len(per_series), 1)
     for i, (label, (edges, counts)) in enumerate(per_series.items()):
         color = COLORS[i % len(COLORS)]

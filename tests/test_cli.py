@@ -111,12 +111,36 @@ class TestRun:
         assert code == 2
         assert "benchmarks" in err
 
-    def test_negative_config_delta_exits_2(self, tmp_path, capsys):
-        config = make_config(tmp_path, deltas=[-0.1])
+    @pytest.mark.parametrize("override, message", [
+        ({"deltas": [-0.1]}, "delta must be finite and >= 0"),
+        ({"deltas": 0.01}, "deltas must be a list of numbers, got 0.01"),
+        ({"groups": 50}, "groups must be a list of integers, got 50"),
+        ({"n_runs": None}, "n_runs must be an integer, got None"),
+        ({"benchmarks": 5}, "benchmarks must be a path or a list of paths, got 5"),
+        ({"out_dir": 5}, "out_dir must be a path, got 5"),
+        ({"split": "dev"}, "split must be \"\", \"train\" or \"test\", got 'dev'"),
+    ], ids=["negative-delta", "deltas", "groups", "n_runs", "benchmarks", "out_dir",
+            "split"])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, override, message):
+        config = make_config(tmp_path, **override)
         code, out, err = run_cli(capsys, "run", "--config", str(config))
-        assert code == 2
-        assert "delta must be finite and >= 0" in err
-        assert not (tmp_path / "out").exists()  # no cell ran
+        assert (code, out) == (2, "")
+        assert f"config error: {message}" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "toy"]
+
+    @pytest.mark.parametrize("algorithms, message", [
+        ("sa,sa", "got ['sa', 'sa']"),
+        ("sa,placebp", "got ['sa', 'placebp']"),
+    ])
+    def test_bad_algorithms_exit_2_before_output(self, tmp_path, capsys,
+                                                 algorithms, message):
+        config = make_config(tmp_path)
+        code, out, err = run_cli(capsys, "run", "--config", str(config),
+                                 "--algorithms", algorithms)
+        assert (code, out) == (2, "")
+        assert "config error: algorithms must be distinct names out of " in err
+        assert message in err
+        assert not (tmp_path / "out").exists()
 
     def test_params_seed_exits_2(self, tmp_path, capsys):
         config = make_config(

@@ -192,9 +192,16 @@ class TestExecute:
 
     def test_parallel_equals_serial(self, tmp_path):
         plan = toy_plan(tmp_path, per_group=1, n_runs=2)
-        serial, _ = execute(plan, jobs=1)
-        parallel, _ = execute(plan, jobs=2)
+        serial, _ = execute(plan, jobs=1, journal_path=tmp_path / "serial.jsonl")
+        parallel, _ = execute(plan, jobs=2, journal_path=tmp_path / "parallel.jsonl")
         assert serial == parallel
+
+        def records(name):  # (key, value) lists, so key order counts
+            return [[(k, v) for k, v in json.loads(line).items() if k != "wall_time"]
+                    for line in (tmp_path / name).read_text().splitlines()]
+
+        assert records("serial.jsonl") == records("parallel.jsonl")
+        assert len(records("serial.jsonl")) == 2 * 2 * 2
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="workers inherit the kernel only when forked")
@@ -239,8 +246,9 @@ class TestExecute:
         assert matrices["sa"].num_runs == 1
         errors = [json.loads(line) for line in journal.read_text().splitlines()
                   if "error" in line]
-        assert [(r["algorithm"], r["instance_id"], r["run_index"]) for r in errors] == [
-            ("sa", first, 0)]
+        assert errors == [{"algorithm": "sa", "instance_id": first, "run_index": 0,
+                           "seed": plan.seed_matrix()[0][0], "error": errors[0]["error"]}]
+        assert list(errors[0]) == ["algorithm", "instance_id", "run_index", "seed", "error"]
 
 
 class TestSummarize:

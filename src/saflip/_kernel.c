@@ -70,16 +70,26 @@ static int randbelow(Rng *r, int n)
 
 /* Occurrence lists as in EvalState: occ[occ_start[2v + s] .. occ_start[2v + s + 1])
  * holds, in clause order, the clauses where variable v occurs positively
- * (s = 0) or negatively (s = 1), once per occurrence. */
+ * (s = 0) or negatively (s = 1), once per occurrence.  Clause c holds
+ * lits[ends[c - 1] .. ends[c]). */
 typedef struct {
     int n, m;
     const int *occ_start;
     const int *occ;
+    const int *lits;
+    const int *ends;
 } Formula;
 
+/* score[v - 1] is EvalState.flip_gain(v), kept up to date by apply_flip:
+ * over v's occurrences, +1 for a false literal in a clause with no true one,
+ * -1 for a true literal that is its clause's only one.  tx[c] is the XOR of
+ * the variables of clause c's true literals, one term per occurrence, so
+ * when sat_counts[c] == 1 it names the one variable that would break c. */
 typedef struct {
     unsigned char *values; /* values[v - 1] of variable v */
     int *sat_counts;
+    int *score;
+    int *tx;
     int unsat;
 } State;
 
@@ -87,6 +97,8 @@ static void copy_state(const Formula *f, State *dst, const State *src)
 {
     memcpy(dst->values, src->values, (size_t)f->n);
     memcpy(dst->sat_counts, src->sat_counts, (size_t)f->m * sizeof(int));
+    memcpy(dst->score, src->score, (size_t)f->n * sizeof(int));
+    memcpy(dst->tx, src->tx, (size_t)f->m * sizeof(int));
     dst->unsat = src->unsat;
 }
 
@@ -106,28 +118,42 @@ static void occurrences(const Formula *f, const State *s, int v,
     *fl_end = f->occ + f->occ_start[neg + 1];
 }
 
-static int flip_gain(const Formula *f, const State *s, int v)
+/* Adds d to the score of every variable occurring in clause c, once per occurrence. */
+static void add_to_clause(const Formula *f, State *s, int c, int d)
 {
-    const int *t, *t_end, *fl, *fl_end;
-    int gain = 0;
-    occurrences(f, s, v, &t, &t_end, &fl, &fl_end);
-    for (; fl < fl_end; fl++)
-        gain += s->sat_counts[*fl] == 0;
-    for (; t < t_end; t++)
-        gain -= s->sat_counts[*t] == 1;
-    return gain;
+    const int *l = f->lits + (c ? f->ends[c - 1] : 0), *end = f->lits + f->ends[c];
+    for (; l < end; l++)
+        s->score[abs(*l) - 1] += d;
 }
 
+/* EvalState.apply_flip, one occurrence at a time, with the scores and tx
+ * updated for each occurrence's change of sat_counts[c] to k. */
 static void apply_flip(const Formula *f, State *s, int v)
 {
     const int *t, *t_end, *fl, *fl_end;
     occurrences(f, s, v, &t, &t_end, &fl, &fl_end);
-    for (; t < t_end; t++)
-        if (--s->sat_counts[*t] == 0)
+    for (; t < t_end; t++) {
+        int c = *t, k = --s->sat_counts[c];
+        s->tx[c] ^= v;
+        if (k == 0) { /* c breaks: each of its literals, now false, would mend it */
             s->unsat++;
-    for (; fl < fl_end; fl++)
-        if (++s->sat_counts[*fl] == 1)
+            add_to_clause(f, s, c, 1);
+            s->score[v - 1]++;
+        } else if (k == 1) { /* the one true literal left now breaks c */
+            s->score[s->tx[c] - 1]--;
+        }
+    }
+    for (; fl < fl_end; fl++) {
+        int c = *fl, k = ++s->sat_counts[c];
+        if (k == 1) { /* c is mended: no literal mends it, v's breaks it */
             s->unsat--;
+            add_to_clause(f, s, c, -1);
+            s->score[v - 1]--;
+        } else if (k == 2) { /* the other true literal no longer breaks c alone */
+            s->score[s->tx[c] - 1]++;
+        }
+        s->tx[c] ^= v;
+    }
     s->values[v - 1] ^= 1;
 }
 
@@ -145,7 +171,7 @@ static void flip(const Formula *f, State *s, Rng *r, int *perm)
     while (improvement > 0) {
         improvement = 0;
         for (i = 0; i < f->n; i++) {
-            int gain = flip_gain(f, s, perm[i]);
+            int gain = s->score[perm[i] - 1];
             if (gain >= 0) {
                 apply_flip(f, s, perm[i]);
                 improvement += gain;
@@ -157,10 +183,10 @@ static void flip(const Formula *f, State *s, Rng *r, int *perm)
 enum { METROPOLIS = 0, COIN = 1 }; /* saflip.annealing's acceptance rules */
 enum { RUN_OK = 0, RUN_NONPOSITIVE_TEMPERATURE = 1, RUN_NO_MEMORY = 2 };
 
-/* One run of `_run_loop` under `rule`.  Clause c holds lits[ends[c - 1] .. ends[c]).
- * On RUN_OK, best_values gets the best assignment and out gets the best and
- * the minimum evaluated unsat counts, the Flip calls and the completed
- * temperature levels. */
+/* One run of `_run_loop` under `rule` on the clauses in lits and ends (see
+ * Formula).  On RUN_OK, best_values gets the best assignment and out gets
+ * the best and the minimum evaluated unsat counts, the Flip calls and the
+ * completed temperature levels. */
 int saflip_run(int n, int m, const int *lits, const int *ends,
                const uint32_t *rng_state, int rule, double t0, double alpha,
                int64_t m_steps, int64_t mni, unsigned char *best_values,
@@ -185,8 +211,13 @@ int saflip_run(int n, int m, const int *lits, const int *ends,
     bufs[1].values = malloc((size_t)n);
     bufs[0].sat_counts = calloc((size_t)m, sizeof(int));
     bufs[1].sat_counts = malloc((size_t)m * sizeof(int));
+    bufs[0].score = calloc((size_t)n, sizeof(int));
+    bufs[1].score = malloc((size_t)n * sizeof(int));
+    bufs[0].tx = calloc((size_t)m, sizeof(int));
+    bufs[1].tx = malloc((size_t)m * sizeof(int));
     if (!occ_start || !fill || !occ || !perm || !bufs[0].values || !bufs[1].values
-        || !bufs[0].sat_counts || !bufs[1].sat_counts) {
+        || !bufs[0].sat_counts || !bufs[1].sat_counts || !bufs[0].score
+        || !bufs[1].score || !bufs[0].tx || !bufs[1].tx) {
         status = RUN_NO_MEMORY;
         goto done;
     }
@@ -205,20 +236,32 @@ int saflip_run(int n, int m, const int *lits, const int *ends,
     f.m = m;
     f.occ_start = occ_start;
     f.occ = occ;
+    f.lits = lits;
+    f.ends = ends;
 
-    /* random_assignment, then EvalState's full count. */
+    /* random_assignment, then EvalState's full count, then every score. */
     for (i = 0; i < n; i++)
         state->values[i] = (unsigned char)randbelow(&rng, 2);
     state->unsat = 0;
     for (c = 0, i = 0; c < m; c++) {
         for (; i < ends[c]; i++) {
             int v = abs(lits[i]);
-            if (state->values[v - 1] == (lits[i] > 0))
+            if (state->values[v - 1] == (lits[i] > 0)) {
                 state->sat_counts[c]++;
+                state->tx[c] ^= v;
+            }
         }
         if (state->sat_counts[c] == 0)
             state->unsat++;
     }
+    for (c = 0, i = 0; c < m; c++)
+        for (; i < ends[c]; i++) {
+            int v = abs(lits[i]);
+            if (state->values[v - 1] == (lits[i] > 0))
+                state->score[v - 1] -= state->sat_counts[c] == 1;
+            else
+                state->score[v - 1] += state->sat_counts[c] == 0;
+        }
 
     flip(&f, state, &rng, perm);
     best_unsat = min_unsat = state->unsat;
@@ -279,5 +322,9 @@ done:
     free(bufs[1].values);
     free(bufs[0].sat_counts);
     free(bufs[1].sat_counts);
+    free(bufs[0].score);
+    free(bufs[1].score);
+    free(bufs[0].tx);
+    free(bufs[1].tx);
     return status;
 }

@@ -115,12 +115,9 @@ def cmd_run(args):
     if journal.exists() and not args.resume:
         journal.unlink()
 
-    total = len(plan.instances) * plan.n_runs * len(algorithms)
-    count = itertools.count(1)
-
-    def progress(rec):
+    def progress(rec, position, total):
         _err(
-            f"[{next(count)}/{total}] {rec['algorithm']} {rec['instance_id']} "
+            f"[{position}/{total}] {rec['algorithm']} {rec['instance_id']} "
             f"run {rec['run_index']}: y={rec.get('y', 'FAILED')}"
         )
 

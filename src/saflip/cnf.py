@@ -21,7 +21,10 @@ class CnfFormula:
     """Immutable k-CNF instance.
 
     Variables are 1-indexed in clauses (DIMACS convention): literal +v means
-    variable v, -v its negation.
+    variable v, -v its negation.  A clause may not repeat a literal: gains
+    are counted per occurrence, so flipping x in (x or x) would read as
+    gain 0 though it breaks the clause, and Flip would never stop.  A clause
+    may hold both x and -x.
     """
 
     num_vars: int
@@ -33,13 +36,16 @@ class CnfFormula:
             raise ValueError("num_vars must be positive")
         if not self.clauses:
             raise ValueError("formula must have at least one clause")
+        n = self.num_vars
         clauses = tuple(tuple(c) for c in self.clauses)
         for c in clauses:
             if not c:
                 raise ValueError("empty clause")
             for lit in c:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise ValueError(f"literal {lit} out of range 1..{self.num_vars}")
+                if lit == 0 or abs(lit) > n:
+                    raise ValueError(f"literal {lit} out of range 1..{n}")
+            if len(set(c)) != len(c):
+                raise ValueError(f"clause {c} repeats a literal")
         object.__setattr__(self, "clauses", clauses)
 
     @property
@@ -111,6 +117,8 @@ def parse_dimacs(text, source_id=""):
                     raise DimacsError(
                         f"literal {lit} out of range 1..{num_vars}", lineno
                     )
+                if lit in current:
+                    raise DimacsError(f"literal {lit} repeated in one clause", lineno)
                 current.append(lit)
 
     if num_vars is None:

@@ -297,8 +297,10 @@ def execute(plan, algorithms=("sa", "placebo"), jobs=1, journal_path=None,
     Each cell yields one record (algorithm, instance, run index, seed, then
     the outcome or an error), the same for every `jobs` value.  Records are
     appended to the journal (a JSONL file) as they arrive and handed to
-    `progress`; cells already in the journal are skipped, which makes an
-    interrupted experiment resumable and lets the seed pairing be audited.
+    `progress(rec, position, total)`, where position counts the plan's cells
+    done so far, this one included; cells already in the journal are
+    skipped, which makes an interrupted experiment resumable and lets the
+    seed pairing be audited.
     A failed cell removes its run column from the matrices of every
     algorithm, so they stay rectangular and paired.
     """
@@ -316,15 +318,16 @@ def execute(plan, algorithms=("sa", "placebo"), jobs=1, journal_path=None,
         for algo in algorithms
         if (algo, inst.instance_id, j) not in done
     ]
+    total = len(plan.instances) * plan.n_runs * len(algorithms)
     sink = open(journal_path, "a") if journal_path else contextlib.nullcontext()
     with sink as journal:
-        for rec in _records(cells, jobs):
+        for position, rec in enumerate(_records(cells, jobs), total - len(cells) + 1):
             done[_key(rec)] = rec
             if journal:
                 journal.write(json.dumps(rec) + "\n")
                 journal.flush()
             if progress:
-                progress(rec)
+                progress(rec, position, total)
 
     failed = sorted({(iid, j) for (_, iid, j), rec in done.items() if "error" in rec})
     failed_cols = {j for _, j in failed}
@@ -460,7 +463,7 @@ class ExperimentConfig:
             ("deltas", _list_of(lambda d: type(d) in (int, float)), "a list of numbers"),
             ("split", lambda v: v in ("", "train", "test"), '"", "train" or "test"'),
             ("groups", _list_of(_is_int), "a list of integers"),
-            ("limit_per_group", _is_int, "an integer"),
+            ("limit_per_group", lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
             ("validate_phase_transition", lambda v: type(v) is bool, "true or false"),
             ("params", lambda v: type(v) in (dict, SolverParams), "an object"),
         ):

@@ -13,14 +13,15 @@ DATA_DIR = Path(__file__).parent / "data" / "instances"
 PINNED = dict(t0=51.71, alpha=0.92, m_steps=50, mni=103)
 
 
-def run_python(*args):
+def run_python(*args, timeout=None):
     """`python *args` in a fresh interpreter that imports this checkout's saflip."""
     import saflip
 
     src = str(Path(saflip.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH", "")) if p)
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def brute_force_unsat_count(formula, values):

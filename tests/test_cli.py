@@ -104,6 +104,29 @@ class TestRun:
             assert Path(json.loads(out)[key]).read_bytes() == content
         assert without_wall_time(journal.read_text()) == without_wall_time(full)
 
+    def test_resumed_progress_counts_the_cells_already_done(self, tmp_path, capsys):
+        config = make_config(tmp_path)
+        code, _, err = run_cli(capsys, "run", "--config", str(config))
+        assert code == 0
+        assert err.splitlines()[-1].startswith("[8/8] ")
+        journal = tmp_path / "out" / "journal.jsonl"
+        journal.write_text(journal.read_text()[:-300])
+        kept = len(journal.read_text().splitlines()) - 1  # the last line is torn
+        code, _, err = run_cli(capsys, "run", "--config", str(config), "--resume")
+        assert code == 0
+        assert [line.split()[0] for line in err.splitlines()] == [
+            f"[{i}/8]" for i in range(kept + 1, 9)]
+
+    def test_repeated_literal_exits_2(self, tmp_path):
+        # Flip never stopped on this formula before repeated literals were refused.
+        (tmp_path / "dup.cnf").write_text("p cnf 2 3\n1 1 0\n-1 2 0\n-2 0\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"benchmarks": "dup.cnf", "out_dir": "out",
+                                      "validate_phase_transition": False}))
+        proc = run_python("-m", "saflip.cli", "run", "--config", str(config), timeout=30)
+        assert proc.returncode == 2
+        assert "line 2: literal 1 repeated in one clause" in proc.stderr
+
     def test_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("{}")
@@ -119,8 +142,9 @@ class TestRun:
         ({"benchmarks": 5}, "benchmarks must be a path or a list of paths, got 5"),
         ({"out_dir": 5}, "out_dir must be a path, got 5"),
         ({"split": "dev"}, "split must be \"\", \"train\" or \"test\", got 'dev'"),
+        ({"limit_per_group": -1}, "limit_per_group must be an integer >= 0, got -1"),
     ], ids=["negative-delta", "deltas", "groups", "n_runs", "benchmarks", "out_dir",
-            "split"])
+            "split", "limit_per_group"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, override, message):
         config = make_config(tmp_path, **override)
         code, out, err = run_cli(capsys, "run", "--config", str(config))

@@ -77,6 +77,14 @@ class TestFormulaInvariants:
         with pytest.raises(ValueError):
             CnfFormula(num_vars=2, clauses=((1, -3),))
 
+    def test_rejects_repeated_literal(self):
+        # Flip would never stop on (x1 or x1): flipping x1 reads as gain 0.
+        with pytest.raises(ValueError, match=r"clause \(1, 1, 2\) repeats a literal"):
+            CnfFormula(2, ((1, 1, 2),))
+        with pytest.raises(DimacsError, match="line 4: literal -2 repeated in one clause"):
+            parse_dimacs("p cnf 2 2\n1 0\n-2 1\n-2 0\n")
+        assert CnfFormula(2, ((1, -1, 2),)).clauses == ((1, -1, 2),)
+
     def test_digest_ignores_source_id(self):
         a = CnfFormula(2, ((1, 2),), source_id="a")
         b = CnfFormula(2, ((1, 2),), source_id="b")
@@ -125,11 +133,6 @@ class TestEvalState:
     def test_length_mismatch(self, tiny_formula):
         with pytest.raises(ValueError):
             EvalState(tiny_formula, [0, 0])
-
-    def test_duplicate_literal_counted_per_occurrence(self):
-        f = CnfFormula(2, ((1, 1, 2),))
-        state = EvalState(f, [1, 0])
-        assert state.sat_counts == [2]
 
 
 @settings(max_examples=200, deadline=None)

@@ -97,6 +97,30 @@ def test_random_formulas_match_reference(kernel, monkeypatch):
     assert raised[0] == 1
 
 
+def mixed_cnf(n, m, rng):
+    """m clauses of 1-5 distinct literals over n variables; x and -x may share one."""
+    literals = [*range(1, n + 1), *range(-n, 0)]
+    return CnfFormula(n, tuple(tuple(rng.sample(literals, min(rng.randint(1, 5), 2 * n)))
+                               for _ in range(m)))
+
+
+def test_mixed_width_formulas_match_reference(kernel, monkeypatch):
+    """Clause widths 1-5 and clauses holding x and -x, which 3-CNF never has."""
+    rng = random.Random(5151)
+    tautologies = unsolved = 0
+    for i in range(200):
+        formula = mixed_cnf(rng.randint(1, 20), rng.randint(1, 90), rng)
+        tautologies += any(-lit in c for c in formula.clauses for lit in c)
+        params = SolverParams(t0=10 ** rng.uniform(-3, 3), alpha=rng.uniform(0.01, 0.99),
+                              m_steps=rng.randint(1, 20), mni=rng.randint(1, 40),
+                              seed=rng.randrange(2**64))
+        for solver in SOLVERS:
+            fast = result(solver, formula, params)
+            assert fast == reference(solver, formula, params, monkeypatch), (i, solver.__name__)
+            unsolved += not fast.solved
+    assert tautologies > 100 and unsolved > 100
+
+
 def test_missing_compiler_falls_back_with_one_warning(expected, kernel_cache, monkeypatch,
                                                       capsys):
     capsys.readouterr()

@@ -68,72 +68,55 @@ static int randbelow(Rng *r, int n)
     return (int)v;
 }
 
-/* Occurrence lists as in EvalState: occ[occ_start[2v + s] .. occ_start[2v + s + 1])
- * holds, in clause order, the clauses where variable v occurs positively
- * (s = 0) or negatively (s = 1), once per occurrence.  Clause c holds
- * lits[ends[c - 1] .. ends[c]). */
+/* Occurrence lists as in EvalState, one per literal slot: slot 2v holds
+ * literal v and slot 2v + 1 literal -v, and occ[occ_start[s] .. occ_start[s + 1])
+ * holds, in clause order, the clauses where slot s occurs, once per
+ * occurrence.  Clause c holds lits[starts[c] .. starts[c + 1]). */
 typedef struct {
     int n, m;
     const int *occ_start;
     const int *occ;
     const int *lits;
-    const int *ends;
+    const int *starts;
 } Formula;
 
 /* score[v - 1] is EvalState.flip_gain(v), kept up to date by apply_flip:
  * over v's occurrences, +1 for a false literal in a clause with no true one,
  * -1 for a true literal that is its clause's only one.  tx[c] is the XOR of
  * the variables of clause c's true literals, one term per occurrence, so
- * when sat_counts[c] == 1 it names the one variable that would break c. */
+ * when sat_counts[c] == 1 it names the one variable that would break c.
+ * values (n), score (n), sat_counts (m) and tx (m) are, in that order, one
+ * block of 2(n + m) ints that starts at values. */
 typedef struct {
-    unsigned char *values; /* values[v - 1] of variable v */
-    int *sat_counts;
+    int *values; /* values[v - 1] of variable v, 0 or 1 */
     int *score;
+    int *sat_counts;
     int *tx;
     int unsat;
 } State;
 
 static void copy_state(const Formula *f, State *dst, const State *src)
 {
-    memcpy(dst->values, src->values, (size_t)f->n);
-    memcpy(dst->sat_counts, src->sat_counts, (size_t)f->m * sizeof(int));
-    memcpy(dst->score, src->score, (size_t)f->n * sizeof(int));
-    memcpy(dst->tx, src->tx, (size_t)f->m * sizeof(int));
+    memcpy(dst->values, src->values, 2 * ((size_t)f->n + f->m) * sizeof(int));
     dst->unsat = src->unsat;
-}
-
-/* The clauses made true (*t) and false (*fl) by v's current value. */
-static void occurrences(const Formula *f, const State *s, int v,
-                        const int **t, const int **t_end,
-                        const int **fl, const int **fl_end)
-{
-    int pos = 2 * v, neg = 2 * v + 1;
-    if (!s->values[v - 1]) {
-        pos = 2 * v + 1;
-        neg = 2 * v;
-    }
-    *t = f->occ + f->occ_start[pos];
-    *t_end = f->occ + f->occ_start[pos + 1];
-    *fl = f->occ + f->occ_start[neg];
-    *fl_end = f->occ + f->occ_start[neg + 1];
 }
 
 /* Adds d to the score of every variable occurring in clause c, once per occurrence. */
 static void add_to_clause(const Formula *f, State *s, int c, int d)
 {
-    const int *l = f->lits + (c ? f->ends[c - 1] : 0), *end = f->lits + f->ends[c];
+    const int *l = f->lits + f->starts[c], *end = f->lits + f->starts[c + 1];
     for (; l < end; l++)
         s->score[abs(*l) - 1] += d;
 }
 
 /* EvalState.apply_flip, one occurrence at a time, with the scores and tx
- * updated for each occurrence's change of sat_counts[c] to k. */
+ * updated for each occurrence's change of sat_counts[c] to k.  Slot t holds
+ * v's true literal and slot t ^ 1 its false one. */
 static void apply_flip(const Formula *f, State *s, int v)
 {
-    const int *t, *t_end, *fl, *fl_end;
-    occurrences(f, s, v, &t, &t_end, &fl, &fl_end);
-    for (; t < t_end; t++) {
-        int c = *t, k = --s->sat_counts[c];
+    int t = 2 * v + !s->values[v - 1], i;
+    for (i = f->occ_start[t]; i < f->occ_start[t + 1]; i++) {
+        int c = f->occ[i], k = --s->sat_counts[c];
         s->tx[c] ^= v;
         if (k == 0) { /* c breaks: each of its literals, now false, would mend it */
             s->unsat++;
@@ -143,8 +126,9 @@ static void apply_flip(const Formula *f, State *s, int v)
             s->score[s->tx[c] - 1]--;
         }
     }
-    for (; fl < fl_end; fl++) {
-        int c = *fl, k = ++s->sat_counts[c];
+    t ^= 1;
+    for (i = f->occ_start[t]; i < f->occ_start[t + 1]; i++) {
+        int c = f->occ[i], k = ++s->sat_counts[c];
         if (k == 1) { /* c is mended: no literal mends it, v's breaks it */
             s->unsat--;
             add_to_clause(f, s, c, -1);
@@ -183,96 +167,96 @@ static void flip(const Formula *f, State *s, Rng *r, int *perm)
 enum { METROPOLIS = 0, COIN = 1 }; /* saflip.annealing's acceptance rules */
 enum { RUN_OK = 0, RUN_NONPOSITIVE_TEMPERATURE = 1, RUN_NO_MEMORY = 2 };
 
-/* One run of `_run_loop` under `rule` on the clauses in lits and ends (see
+/* saflip.annealing.accept with the same draws: 1 to accept, 0 to reject,
+ * -1 when METROPOLIS meets t <= 0 (after its draw, as Python raises). */
+static int accept(int rule, Rng *r, double delta_y, double t)
+{
+    double u;
+    if (rule == COIN) {
+        double p = random_double(r);
+        return random_double(r) < p;
+    }
+    u = random_double(r);
+    if (!(t > 0))
+        return -1;
+    return u < (delta_y <= 0 ? 1.0 : exp(-delta_y / t));
+}
+
+/* One run of `_run_loop` under `rule` on the clauses in lits and starts (see
  * Formula).  On RUN_OK, best_values gets the best assignment and out gets
  * the best and the minimum evaluated unsat counts, the Flip calls and the
  * completed temperature levels. */
-int saflip_run(int n, int m, const int *lits, const int *ends,
+int saflip_run(int n, int m, const int *lits, const int *starts,
                const uint32_t *rng_state, int rule, double t0, double alpha,
-               int64_t m_steps, int64_t mni, unsigned char *best_values,
-               int64_t *out)
+               int64_t m_steps, int64_t mni, int *best_values, int64_t *out)
 {
     Rng rng;
     Formula f;
     State bufs[2], *state = &bufs[0], *neighbor = &bufs[1];
-    int *occ_start, *occ, *fill, *perm;
     int64_t flip_calls = 1, k = 0, step;
     int best_unsat = 0, min_unsat = 0, c, i, status = RUN_OK;
-    int num_lits = m ? ends[m - 1] : 0;
+    size_t slots = 2 * (size_t)n + 4, block = 2 * ((size_t)n + m);
+    /* occ_start (slots), occ (starts[m]), perm (n), then two zeroed State blocks. */
+    int *occ_start = calloc(slots + starts[m] + n + 2 * block, sizeof(int)), *occ, *perm;
 
     memcpy(rng.mt, rng_state, sizeof rng.mt);
     rng.index = (int)rng_state[MT_N];
-
-    occ_start = calloc((size_t)2 * n + 3, sizeof(int));
-    fill = calloc((size_t)2 * n + 2, sizeof(int));
-    occ = malloc(((size_t)num_lits + 1) * sizeof(int));
-    perm = malloc((size_t)n * sizeof(int));
-    bufs[0].values = malloc((size_t)n);
-    bufs[1].values = malloc((size_t)n);
-    bufs[0].sat_counts = calloc((size_t)m, sizeof(int));
-    bufs[1].sat_counts = malloc((size_t)m * sizeof(int));
-    bufs[0].score = calloc((size_t)n, sizeof(int));
-    bufs[1].score = malloc((size_t)n * sizeof(int));
-    bufs[0].tx = calloc((size_t)m, sizeof(int));
-    bufs[1].tx = malloc((size_t)m * sizeof(int));
-    if (!occ_start || !fill || !occ || !perm || !bufs[0].values || !bufs[1].values
-        || !bufs[0].sat_counts || !bufs[1].sat_counts || !bufs[0].score
-        || !bufs[1].score || !bufs[0].tx || !bufs[1].tx) {
+    if (!occ_start) {
         status = RUN_NO_MEMORY;
         goto done;
     }
+    occ = occ_start + slots;
+    perm = occ + starts[m];
+    for (i = 0; i < 2; i++) {
+        bufs[i].values = perm + n + i * block;
+        bufs[i].score = bufs[i].values + n;
+        bufs[i].sat_counts = bufs[i].score + n;
+        bufs[i].tx = bufs[i].sat_counts + m;
+        bufs[i].unsat = 0;
+    }
 
-    /* Occurrence lists: count, prefix-sum, then fill in clause order. */
-    for (i = 0; i < num_lits; i++)
-        occ_start[2 * abs(lits[i]) + (lits[i] < 0) + 1]++;
-    for (i = 1; i < 2 * n + 3; i++)
+    /* Occurrence lists: count slot s at s + 2, prefix-sum, then place each
+     * occurrence at occ_start[s + 1]++.  That keeps clause order and leaves
+     * occ_start[s] at the start of slot s. */
+    for (i = 0; i < starts[m]; i++)
+        occ_start[2 * abs(lits[i]) + (lits[i] < 0) + 2]++;
+    for (i = 1; i < (int)slots; i++)
         occ_start[i] += occ_start[i - 1];
-    for (c = 0, i = 0; c < m; c++)
-        for (; i < ends[c]; i++) {
-            int slot = 2 * abs(lits[i]) + (lits[i] < 0);
-            occ[occ_start[slot] + fill[slot]++] = c;
-        }
-    f.n = n;
-    f.m = m;
-    f.occ_start = occ_start;
-    f.occ = occ;
-    f.lits = lits;
-    f.ends = ends;
+    for (c = 0; c < m; c++)
+        for (i = starts[c]; i < starts[c + 1]; i++)
+            occ[occ_start[2 * abs(lits[i]) + (lits[i] < 0) + 1]++] = c;
+    f = (Formula){n, m, occ_start, occ, lits, starts};
 
-    /* random_assignment, then EvalState's full count, then every score. */
+    /* random_assignment, then EvalState's count of each clause, and each
+     * clause's share of the scores as apply_flip gives it at that count. */
     for (i = 0; i < n; i++)
-        state->values[i] = (unsigned char)randbelow(&rng, 2);
-    state->unsat = 0;
-    for (c = 0, i = 0; c < m; c++) {
-        for (; i < ends[c]; i++) {
+        state->values[i] = randbelow(&rng, 2);
+    for (c = 0; c < m; c++) {
+        for (i = starts[c]; i < starts[c + 1]; i++) {
             int v = abs(lits[i]);
             if (state->values[v - 1] == (lits[i] > 0)) {
                 state->sat_counts[c]++;
                 state->tx[c] ^= v;
             }
         }
-        if (state->sat_counts[c] == 0)
+        if (state->sat_counts[c] == 0) {
             state->unsat++;
-    }
-    for (c = 0, i = 0; c < m; c++)
-        for (; i < ends[c]; i++) {
-            int v = abs(lits[i]);
-            if (state->values[v - 1] == (lits[i] > 0))
-                state->score[v - 1] -= state->sat_counts[c] == 1;
-            else
-                state->score[v - 1] += state->sat_counts[c] == 0;
+            add_to_clause(&f, state, c, 1);
+        } else if (state->sat_counts[c] == 1) {
+            state->score[state->tx[c] - 1]--;
         }
+    }
 
     flip(&f, state, &rng, perm);
     best_unsat = min_unsat = state->unsat;
-    memcpy(best_values, state->values, (size_t)n);
+    memcpy(best_values, state->values, (size_t)n * sizeof(int));
     if (state->unsat == 0)
         goto done;
 
     for (k = 0; k < mni; k++) {
         double t = t0 * pow(alpha, (double)k);
         for (step = 0; step < m_steps; step++) {
-            int accept;
+            int a;
             copy_state(&f, neighbor, state);
             apply_flip(&f, neighbor, randbelow(&rng, n) + 1);
             flip(&f, neighbor, &rng, perm);
@@ -281,27 +265,20 @@ int saflip_run(int n, int m, const int *lits, const int *ends,
                 min_unsat = neighbor->unsat;
             if (neighbor->unsat == 0) {
                 best_unsat = 0;
-                memcpy(best_values, neighbor->values, (size_t)n);
+                memcpy(best_values, neighbor->values, (size_t)n * sizeof(int));
                 goto done;
             }
             /* Best tracking looks at the incumbent, before acceptance. */
             if (state->unsat < best_unsat) {
                 best_unsat = state->unsat;
-                memcpy(best_values, state->values, (size_t)n);
+                memcpy(best_values, state->values, (size_t)n * sizeof(int));
             }
-            if (rule == COIN) {
-                double p = random_double(&rng);
-                accept = random_double(&rng) < p;
-            } else {
-                double u = random_double(&rng);
-                double delta_y = (double)neighbor->unsat / m - (double)state->unsat / m;
-                if (!(t > 0)) {
-                    status = RUN_NONPOSITIVE_TEMPERATURE;
-                    goto done;
-                }
-                accept = u < (delta_y <= 0 ? 1.0 : exp(-delta_y / t));
+            a = accept(rule, &rng, (double)neighbor->unsat / m - (double)state->unsat / m, t);
+            if (a < 0) {
+                status = RUN_NONPOSITIVE_TEMPERATURE;
+                goto done;
             }
-            if (accept) {
+            if (a) {
                 State *tmp = state;
                 state = neighbor;
                 neighbor = tmp;
@@ -315,16 +292,5 @@ done:
     out[2] = flip_calls;
     out[3] = k;
     free(occ_start);
-    free(fill);
-    free(occ);
-    free(perm);
-    free(bufs[0].values);
-    free(bufs[1].values);
-    free(bufs[0].sat_counts);
-    free(bufs[1].sat_counts);
-    free(bufs[0].score);
-    free(bufs[1].score);
-    free(bufs[0].tx);
-    free(bufs[1].tx);
     return status;
 }

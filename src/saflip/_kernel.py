@@ -122,14 +122,14 @@ def run(fn, formula, params, rng_state, rule):
     """
     n, clauses = formula.num_vars, formula.clauses
     lits = array("i", chain.from_iterable(clauses))
-    ends = array("i", accumulate(map(len, clauses)))
+    starts = array("i", accumulate(map(len, clauses), initial=0))
     state = array("I", rng_state)
     if state.itemsize != 4 or len(state) != 625:
         raise ValueError("expected 625 32-bit Mersenne Twister words")
-    best = array("B", bytes(n))
+    best = array("i", [0]) * n
     out = array("q", [0] * 4)
     status = fn(
-        n, len(clauses), lits.buffer_info()[0], ends.buffer_info()[0],
+        n, len(clauses), lits.buffer_info()[0], starts.buffer_info()[0],
         state.buffer_info()[0], rule, float(params.t0), float(params.alpha),
         params.m_steps, params.mni, best.buffer_info()[0], out.buffer_info()[0],
     )

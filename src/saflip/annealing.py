@@ -63,17 +63,6 @@ class RunOutcome:
                 f"solved={self.solved} contradicts best_score={self.best_score}"
             )
 
-    def same_result(self, other):
-        """Equality ignoring wall time."""
-        return (
-            self.best_assignment == other.best_assignment
-            and self.best_score == other.best_score
-            and self.flip_calls == other.flip_calls
-            and self.iterations_completed == other.iterations_completed
-            and self.solved == other.solved
-            and self.min_evaluated_score == other.min_evaluated_score
-        )
-
 
 def acceptance_probability(delta_y, t):
     """Metropolis acceptance probability at temperature t (> 0)."""

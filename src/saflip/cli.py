@@ -102,6 +102,8 @@ def _load_plan(args):
 def cmd_run(args):
     try:
         algorithms = harness.check_algorithms(args.algorithms.split(","))
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         plan, bset, out_dir = _load_plan(args)
     except ValueError as exc:
         _err(f"config error: {exc}")

@@ -24,7 +24,7 @@ from .ber import (
     success_rate,
     write_ber_csv,
 )
-from .cnf import CnfFormula, parse_dimacs
+from .cnf import CnfFormula, DimacsError, parse_dimacs
 from .placebo import run_placebo_flip
 
 ALGORITHMS = {"sa": run_sa_flip, "placebo": run_placebo_flip}
@@ -114,19 +114,20 @@ def _iter_cnf_texts(source):
     if not path.is_file():
         raise BenchmarkError(f"unreadable benchmark source: {source}")
     name = path.name
-    if name.endswith((".tar.gz", ".tgz", ".tar")):
-        with tarfile.open(path) as tar:
-            for member in sorted(tar.getmembers(), key=lambda m: m.name):
-                if member.isfile() and member.name.endswith(".cnf"):
-                    yield Path(member.name).name, tar.extractfile(member).read().decode()
-        return
-    if name.endswith(".cnf.gz"):
-        yield name[: -len(".gz")], gzip.decompress(path.read_bytes()).decode()
-        return
-    if name.endswith(".cnf"):
-        yield name, path.read_text()
-        return
-    raise BenchmarkError(f"unsupported benchmark source: {source}")
+    if not name.endswith((".tar.gz", ".tgz", ".tar", ".cnf.gz", ".cnf")):
+        raise BenchmarkError(f"unsupported benchmark source: {source}")
+    try:
+        if name.endswith((".tar.gz", ".tgz", ".tar")):
+            with tarfile.open(path) as tar:
+                for member in sorted(tar.getmembers(), key=lambda m: m.name):
+                    if member.isfile() and member.name.endswith(".cnf"):
+                        yield Path(member.name).name, tar.extractfile(member).read().decode()
+        elif name.endswith(".cnf.gz"):
+            yield name[: -len(".gz")], gzip.decompress(path.read_bytes()).decode()
+        else:
+            yield name, path.read_text()
+    except (UnicodeDecodeError, tarfile.TarError, EOFError, OSError) as exc:
+        raise BenchmarkError(f"{source}: {exc}") from exc
 
 
 def ingest_benchmarks(sources, validate_phase_transition=True, manifest_path=None):
@@ -142,7 +143,10 @@ def ingest_benchmarks(sources, validate_phase_transition=True, manifest_path=Non
     for source in sources:
         for name, text in _iter_cnf_texts(source):
             instance_id = name[: -len(".cnf")] if name.endswith(".cnf") else name
-            formula = parse_dimacs(text, source_id=instance_id)
+            try:
+                formula = parse_dimacs(text, source_id=instance_id)
+            except DimacsError as exc:
+                raise BenchmarkError(f"{name}: {exc}") from exc
             if validate_phase_transition:
                 _validate_phase_transition(formula, name)
             digest = formula.digest()

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -11,6 +12,11 @@ from saflip.cnf import CnfFormula, EvalState, random_3cnf  # noqa: F401 (used by
 DATA_DIR = Path(__file__).parent / "data" / "instances"
 
 PINNED = dict(t0=51.71, alpha=0.92, m_steps=50, mni=103)
+
+
+def timeless(outcome):
+    """A RunOutcome with wall_time zeroed, so two runs compare with `==`."""
+    return dataclasses.replace(outcome, wall_time=0.0)
 
 
 def run_python(*args, timeout=None):

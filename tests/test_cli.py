@@ -1,4 +1,6 @@
+import gzip
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -164,6 +166,14 @@ class TestRun:
         assert (code, out) == (2, "")
         assert "config error: algorithms must be distinct names out of " in err
         assert message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_bad_jobs_exit_2_before_output(self, tmp_path, capsys, jobs):
+        config = make_config(tmp_path)
+        code, out, err = run_cli(capsys, "run", "--config", str(config), "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert f"config error: --jobs must be >= 1, got {jobs}" in err
         assert not (tmp_path / "out").exists()
 
     def test_params_seed_exits_2(self, tmp_path, capsys):
@@ -453,6 +463,28 @@ class TestFetch:
         assert code == 2
         assert list(cache.glob("*.part")) == []
         assert list(cache.glob("*.tar.gz")) == []
+
+
+GOOD_CNF = b"p cnf 3 2\n1 -2 3 0\n-1 2 0\n"
+
+
+@pytest.mark.parametrize("name, data", [
+    ("zz-bad.cnf", b"p cnf 2 1\n1 1 2 0\n"),
+    ("x.tar.gz", random.Random(0).randbytes(200)),
+    ("cut.cnf.gz", gzip.compress(GOOD_CNF)[:20]),
+    ("latin1.cnf", b"c caf\xe9\n" + GOOD_CNF),
+], ids=["dimacs-error", "random-archive", "truncated-gzip", "non-utf8"])
+def test_ingest_failure_names_the_file_and_exits_2(tmp_path, name, data):
+    (tmp_path / name).write_bytes(data)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"benchmarks": name, "out_dir": "out",
+                                  "validate_phase_transition": False}))
+    for argv in (["fetch", str(tmp_path / name), "--cache-dir", str(tmp_path / "cache"),
+                  "--no-validate"],
+                 ["run", "--config", str(config)]):
+        proc = run_python("-m", "saflip.cli", *argv, timeout=30)
+        assert proc.returncode == 2, (argv[0], proc.stderr)
+        assert name in proc.stderr and "Traceback" not in proc.stderr, (argv[0], proc.stderr)
 
 
 def test_import_leaves_out_what_only_some_commands_use():

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import shutil
+import subprocess
 import time
 
 import pytest
@@ -206,3 +207,15 @@ def test_unwritable_cache_builds_into_a_temporary_directory(expected, kernel_cac
     _kernel.load.cache_clear()
     assert _kernel.load() is not None
     assert kernel_cache() == 2
+
+
+def test_kernel_compiles_without_warnings(tmp_path):
+    compiler = _kernel._compiler()
+    if shutil.which(compiler[0]) is None:
+        pytest.skip("no C compiler")
+    proc = subprocess.run(
+        [*compiler, *_kernel.CFLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "_kernel.so"), str(_kernel.SOURCE), "-lm"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

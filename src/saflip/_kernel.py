@@ -7,6 +7,8 @@ platform, so an edited `_kernel.c` or another compiler gets a new build and
 later processes load the cached one without compiling.  A library that does
 not load is rebuilt.  Where `__pycache__` cannot be written, the kernel is
 built into a temporary directory that is removed once the library is loaded.
+`publish` and `prune` keep the cache's policy for this module and for the
+DIMACS parse cache in `harness`.
 When it cannot be built, `load` warns once on stderr and returns None, and
 the solvers run the Python reference loop instead.
 """
@@ -59,6 +61,36 @@ def _cache_path():
     return CACHE_DIR / f"_kernel.{h.hexdigest()[:16]}.so"
 
 
+def publish(dest, make):
+    """Make the cache file `dest` by calling `make(path)` on a temporary file
+    beside it, then rename that into place, so a concurrent process sees no
+    file or a whole one, never half of one.  Returns False, without calling
+    `make`, where the cache cannot be written; what `make` and the rename
+    raise goes to the caller.  No temporary file is left behind."""
+    import tempfile
+
+    try:
+        dest.parent.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=f"{dest.name}.", suffix=".tmp", dir=dest.parent)
+        os.close(fd)
+    except OSError:
+        return False
+    try:
+        make(tmp)
+        os.replace(tmp, dest)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
+    return True
+
+
+def prune(pattern, current):
+    """Delete the files in `CACHE_DIR` that match the glob `pattern` and whose
+    names do not start with `current`: what another version left there."""
+    for stale in CACHE_DIR.glob(pattern):
+        if not stale.name.startswith(current):
+            stale.unlink(missing_ok=True)
+
+
 def _library():
     """The loaded kernel library: cached, freshly built into the cache, or,
     where the cache cannot be written, built into a temporary directory."""
@@ -70,22 +102,10 @@ def _library():
         return ctypes.CDLL(str(lib_path))
     except OSError:
         pass  # not built yet, or unloadable: build it again
-    try:
-        CACHE_DIR.mkdir(exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix="_kernel.", suffix=".tmp", dir=CACHE_DIR)
-        os.close(fd)
-    except OSError:
+    if not publish(lib_path, _build):
         with tempfile.TemporaryDirectory(prefix="saflip-kernel-") as tmp:
             return ctypes.CDLL(str(_build(Path(tmp) / "_kernel.so")))
-    try:
-        # Publish whole files only: a concurrent process sees the old name or
-        # a complete library, never a half-written one.
-        os.replace(_build(tmp), lib_path)
-    finally:
-        Path(tmp).unlink(missing_ok=True)
-    for stale in CACHE_DIR.glob("_kernel.*.so"):
-        if stale != lib_path:
-            stale.unlink(missing_ok=True)
+    prune("_kernel.*.so", lib_path.name)
     return ctypes.CDLL(str(lib_path))
 
 

@@ -12,11 +12,11 @@ import argparse
 import dataclasses
 import itertools
 import json
-import statistics
+import math
 import sys
 from pathlib import Path
 
-from . import doe, harness
+from . import harness
 from .ber import (
     ber_grouped,
     check_delta,
@@ -208,10 +208,13 @@ def _mean_score(plan):
     matrices, failed = harness.execute(plan, algorithms=("sa",))
     if failed:
         raise RuntimeError(f"failed cells (instance, run): {failed}")
-    return statistics.fmean(y for row in matrices["sa"].scores for y in row)
+    ys = [y for row in matrices["sa"].scores for y in row]
+    return math.fsum(ys) / len(ys)
 
 
 def cmd_tune(args):
+    from . import doe
+
     try:
         plan, _, out_dir = _load_plan(args)
         plan = dataclasses.replace(plan, n_runs=args.runs)

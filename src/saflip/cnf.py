@@ -69,6 +69,59 @@ def parse_dimacs(text, source_id=""):
     clauses possibly spanning lines.  The SATLIB `%` footer and a trailing
     lone `0` are skipped.
     """
+    formula = _parse_usual(text, source_id)
+    return formula if formula is not None else _parse_by_token(text, source_id)
+
+
+def _parse_usual(text, source_id):
+    """The formula of a valid DIMACS `text` in the usual layout, read in bulk:
+    comment lines, the header, lines holding whole clauses only, and maybe a
+    `%` footer followed by lone 0s.  None for any other text and for any
+    fault; `_parse_by_token` then reads it and names the fault's line.
+    """
+    lines = text.splitlines()
+    for at, line in enumerate(lines):
+        line = line.strip()
+        if line and not line.startswith("c"):
+            break
+    else:
+        return None
+    header = line.split()
+    if len(header) != 4 or header[:2] != ["p", "cnf"]:
+        return None
+    try:
+        num_vars, num_clauses = int(header[2]), int(header[3])
+    except ValueError:
+        return None
+    body = lines[at + 1:]
+    end = len(body)
+    for i in range(end - 1, -1, -1):  # the footer, if any, ends the text
+        line = body[i].strip()
+        if line.startswith("%"):
+            end = i
+            break
+        if line not in ("", "0"):
+            break
+    try:
+        # A comment, a second header or a second footer stops int() too.
+        lits = [*map(int, " ".join(body[:end]).split())]
+    except ValueError:
+        return None
+    if not lits or lits[-1] != 0:
+        return None
+    next_lit = iter(lits).__next__
+    clauses = tuple(tuple(iter(next_lit, 0)) for _ in range(lits.count(0)))
+    if len(clauses) != num_clauses:
+        return None
+    try:
+        return CnfFormula(num_vars, clauses, source_id)
+    except ValueError:
+        return None  # a lone 0, a literal out of range or a repeated one
+
+
+def _parse_by_token(text, source_id):
+    """`parse_dimacs` one token at a time: reads any layout, and raises
+    DimacsError naming the line of the first fault."""
     num_vars = None
     num_clauses = None
     clauses = []

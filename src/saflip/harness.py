@@ -6,15 +6,17 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import functools
 import gzip
 import hashlib
 import json
+import marshal
 import random
 import tarfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import _kernel, plots
+from . import _kernel, cnf, plots
 from .annealing import SolverParams, run_sa_flip
 from .ber import (
     ResultMatrix,
@@ -29,6 +31,9 @@ from .placebo import run_placebo_flip
 
 ALGORITHMS = {"sa": run_sa_flip, "placebo": run_placebo_flip}
 
+# What `ingest_benchmarks` reads: a path given directly, or a file under a
+# directory given.
+SOURCE_SUFFIXES = (".tar.gz", ".tgz", ".tar", ".cnf.gz", ".cnf")
 PHASE_TRANSITION_RATIO = (4.0, 4.5)
 DEFAULT_DELTAS = (0.0, 0.01, 0.02)
 DEFAULT_RUNS_PER_INSTANCE = 30
@@ -106,15 +111,13 @@ def _iter_cnf_texts(source):
     path = Path(source)
     if path.is_dir():
         for child in sorted(path.rglob("*")):
-            if child.is_file() and (
-                child.suffix == ".cnf" or child.name.endswith((".tar.gz", ".tgz", ".tar"))
-            ):
+            if child.is_file() and child.name.endswith(SOURCE_SUFFIXES):
                 yield from _iter_cnf_texts(child)
         return
     if not path.is_file():
         raise BenchmarkError(f"unreadable benchmark source: {source}")
     name = path.name
-    if not name.endswith((".tar.gz", ".tgz", ".tar", ".cnf.gz", ".cnf")):
+    if not name.endswith(SOURCE_SUFFIXES):
         raise BenchmarkError(f"unsupported benchmark source: {source}")
     try:
         if name.endswith((".tar.gz", ".tgz", ".tar")):
@@ -130,8 +133,48 @@ def _iter_cnf_texts(source):
         raise BenchmarkError(f"{source}: {exc}") from exc
 
 
+@functools.cache
+def _parser_version():
+    """Short sha256 of the parser's source: what a cached parse depends on
+    besides the text (marshal's format does not change between Pythons)."""
+    return hashlib.sha256(Path(cnf.__file__).read_bytes()).hexdigest()[:16]
+
+
+def _parse(name, text, instance_id):
+    """(formula, content digest, whether a cache entry was written) of the
+    DIMACS `text` of file `name`.
+
+    Each parse is cached by content in `_kernel.CACHE_DIR` as
+    `_dimacs.<parser version>.<key>.marshal`, holding (num_vars, clauses,
+    digest); the key is a sha256 of the parser version and the text.  A hit
+    skips the parse and the digest, and `CnfFormula` still checks every
+    literal.  An entry that does not load is parsed again and rewritten;
+    where the cache cannot be written, the parse is not kept.
+    """
+    version = _parser_version()
+    key = hashlib.sha256(f"{version}\n{text}".encode()).hexdigest()[:32]
+    entry = _kernel.CACHE_DIR / f"_dimacs.{version}.{key}.marshal"
+    try:
+        num_vars, clauses, digest = marshal.loads(entry.read_bytes())
+        return CnfFormula(num_vars, clauses, instance_id), digest, False
+    except (OSError, EOFError, ValueError, TypeError):
+        pass  # no entry yet, or an unreadable one: parse again
+    try:
+        formula = parse_dimacs(text, source_id=instance_id)
+    except DimacsError as exc:
+        raise BenchmarkError(f"{name}: {exc}") from exc
+    digest = formula.digest()
+    data = marshal.dumps((formula.num_vars, formula.clauses, digest))
+    try:
+        wrote = _kernel.publish(entry, lambda tmp: Path(tmp).write_bytes(data))
+    except OSError:
+        wrote = False
+    return formula, digest, wrote
+
+
 def ingest_benchmarks(sources, validate_phase_transition=True, manifest_path=None):
-    """Parse and validate DIMACS files from one or more sources.
+    """Parse and validate DIMACS files from one or more sources; each
+    file's parse is cached by content (see `_parse`).
 
     Instances are grouped by variable count, ordered by filename, and
     deduplicated by content digest; an empty result is an error.
@@ -140,16 +183,14 @@ def ingest_benchmarks(sources, validate_phase_transition=True, manifest_path=Non
         sources = [sources]
     digests, ids = set(), set()
     collected = []
+    wrote_any = False
     for source in sources:
         for name, text in _iter_cnf_texts(source):
             instance_id = name[: -len(".cnf")] if name.endswith(".cnf") else name
-            try:
-                formula = parse_dimacs(text, source_id=instance_id)
-            except DimacsError as exc:
-                raise BenchmarkError(f"{name}: {exc}") from exc
+            formula, digest, wrote = _parse(name, text, instance_id)
+            wrote_any |= wrote
             if validate_phase_transition:
                 _validate_phase_transition(formula, name)
-            digest = formula.digest()
             if digest in digests:
                 continue
             if instance_id in ids:
@@ -164,6 +205,8 @@ def ingest_benchmarks(sources, validate_phase_transition=True, manifest_path=Non
                     digest=digest,
                 )
             )
+    if wrote_any:  # once per call: a scan per entry would be quadratic
+        _kernel.prune("_dimacs.*.marshal", f"_dimacs.{_parser_version()}.")
     if not collected:
         raise BenchmarkError(f"no .cnf instances found in {sources}")
     collected.sort(key=lambda inst: (inst.group, inst.instance_id))

@@ -64,6 +64,19 @@ class AuditedState(EvalState):
         self.unsat_trace.append(self.unsat_count)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def session_cache(tmp_path_factory):
+    """Keep what the tests build and parse in a session directory, not in the
+    checkout's `src/saflip/__pycache__`; yields that directory."""
+    from saflip import _kernel
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernel, "CACHE_DIR", tmp_path_factory.mktemp("cache") / "__pycache__")
+        _kernel.load.cache_clear()
+        yield _kernel.CACHE_DIR
+    _kernel.load.cache_clear()
+
+
 @pytest.fixture
 def kernel_cache(tmp_path, monkeypatch):
     """Point the kernel's build cache at an empty directory and log every

@@ -447,6 +447,18 @@ class TestFetch:
         manifest = json.loads(Path(produced["manifest"]).read_text())
         assert len(manifest) == 2
 
+    def test_directory_holding_a_gzipped_cnf(self, tmp_path, capsys):
+        src = tmp_path / "src"
+        src.mkdir()
+        (src / "a.cnf.gz").write_bytes(gzip.compress(GOOD_CNF))
+        code, out, _ = run_cli(
+            capsys, "fetch", str(src), "--cache-dir", str(tmp_path / "cache"),
+            "--no-validate",
+        )
+        assert code == 0
+        manifest = json.loads(Path(json.loads(out)["manifest"]).read_text())
+        assert [e["instance_id"] for e in manifest] == ["a"]
+
     def test_missing_source_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "fetch", str(tmp_path / "missing"),
@@ -491,7 +503,8 @@ def test_import_leaves_out_what_only_some_commands_use():
     code = (
         "import sys\n"
         "import saflip.cli\n"
-        "print(sorted({'numpy', 'urllib.request', 'concurrent.futures'} & set(sys.modules)))\n"
+        "print(sorted({'numpy', 'urllib.request', 'concurrent.futures', 'saflip.doe',\n"
+        "              'statistics'} & set(sys.modules)))\n"
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr

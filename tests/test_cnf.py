@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,8 @@ from saflip.cnf import (
     CnfFormula,
     DimacsError,
     EvalState,
+    _parse_by_token,
+    _parse_usual,
     parse_dimacs,
     serialize_dimacs,
 )
@@ -185,6 +188,31 @@ dimacs_like = st.one_of(
         st.sampled_from(("\n", " \n", "\r\n", "\nc note\n", "\n%\n")),
     ),
 )
+def _satlib(header, n, clauses, sep, tail, extra=0):
+    """A SATLIB-like text: a comment, the header (declaring `extra` clauses
+    more than it has), one clause a line, a tail."""
+    lines = ["c uf", f"{header} {n} {len(clauses) + extra}",
+             *(" ".join(map(str, c)) + " 0" for c in clauses)]
+    return sep.join(lines) + sep + tail
+
+
+# The SATLIB layout and near misses of it, which the bulk reader must either
+# read as the token reader does or hand over to it.
+SATLIB_HEADERS = ("p cnf", "p  cnf", "p dnf", "q cnf", "p")
+SATLIB_SEPS = ("\n", " \n", "\r\n", "\n0\n", "\n\n", "\nc note\n", "\n%\n")
+SATLIB_TAILS = ("", "%\n0\n", "%\n0\n\n", " % x\n", "%\n%\n0\n", "0\n", "0 0\n",
+                "%\n1 0\n", "%\n0 0\n", "%\n1\n", "c end\n", "p cnf 1 1\n", "1\n",
+                "2 0 1\n", "x\n")
+satlib_like = st.builds(
+    _satlib,
+    st.sampled_from(SATLIB_HEADERS),
+    st.integers(2, 4),
+    st.lists(st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)), min_size=1, max_size=3,
+                      unique=True), min_size=1, max_size=5),
+    st.sampled_from(SATLIB_SEPS),
+    st.sampled_from(SATLIB_TAILS),
+    st.sampled_from((0, 0, 0, 1, -1)),
+)
 
 
 @settings(max_examples=500, deadline=None)
@@ -195,3 +223,30 @@ def test_parse_dimacs_accepts_or_raises_dimacs_error(text):
     except DimacsError:
         return
     assert parse_dimacs(serialize_dimacs(f)) == f
+
+
+def _reads_as_the_token_reader_or_hands_over(text):
+    fast = _parse_usual(text, "s")
+    if fast is not None:
+        assert fast == _parse_by_token(text, "s")
+
+
+@settings(max_examples=500, deadline=None)
+@given(dimacs_like | satlib_like)
+def test_bulk_reader_reads_as_the_token_reader_or_hands_over(text):
+    _reads_as_the_token_reader_or_hands_over(text)
+
+
+def test_bulk_reader_on_every_satlib_layout():
+    for header, sep, tail, extra in itertools.product(SATLIB_HEADERS, SATLIB_SEPS,
+                                                      SATLIB_TAILS, (0, 1, -1)):
+        _reads_as_the_token_reader_or_hands_over(
+            _satlib(header, 3, [(1, -2, 3), (-1, 2)], sep, tail, extra))
+
+
+def test_bulk_reader_reads_the_fixtures_and_the_satlib_footer():
+    for path in sorted(DATA_DIR.glob("*.cnf")):
+        assert _parse_usual(path.read_text(), path.stem) == _parse_by_token(
+            path.read_text(), path.stem)
+    text = "c uf3\np cnf 3 2\n 1 -2 3 0\n-1 2 -3 0\n%\n0\n\n"
+    assert _parse_usual(text, "") == CnfFormula(3, ((1, -2, 3), (-1, 2, -3)))

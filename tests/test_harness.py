@@ -1,13 +1,14 @@
 import json
 import multiprocessing
 import random
+import shutil
 import tarfile
 
 import pytest
 
 from saflip import _kernel, harness
 from saflip.annealing import RunOutcome, SolverParams
-from saflip.cnf import serialize_dimacs
+from saflip.cnf import parse_dimacs, serialize_dimacs
 from saflip.harness import (
     BenchmarkError,
     ExperimentConfig,
@@ -101,6 +102,131 @@ class TestIngest:
         assert [i.instance_id for i in a.instances] == [
             i.instance_id for i in b.instances
         ]
+
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    """An empty parse cache under tmp_path."""
+    cache = tmp_path / "__pycache__"
+    monkeypatch.setattr(_kernel, "CACHE_DIR", cache)
+    return cache
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The source id of every `parse_dimacs` call that ingest makes, in order."""
+    calls = []
+
+    def counting(text, source_id=""):
+        calls.append(source_id)
+        return parse_dimacs(text, source_id)
+
+    monkeypatch.setattr(harness, "parse_dimacs", counting)
+    return calls
+
+
+def entries(cache):
+    return sorted(cache.glob("_dimacs.*.marshal"))
+
+
+def one_fixture(tmp_path, name="genuf50-01.cnf"):
+    src = tmp_path / "src"
+    src.mkdir(exist_ok=True)
+    shutil.copy(DATA_DIR / name, src / name)
+    return src
+
+
+class TestParseCache:
+    def test_warm_ingest_parses_nothing(self, cache_dir, parses, tmp_path):
+        cold = ingest_benchmarks(DATA_DIR, manifest_path=tmp_path / "cold.json")
+        assert len(parses) == len(cold.instances) == len(entries(cache_dir)) == 30
+        parses.clear()
+        warm = ingest_benchmarks(DATA_DIR, manifest_path=tmp_path / "warm.json")
+        assert parses == []
+        assert [i.formula for i in warm.instances] == [i.formula for i in cold.instances]
+        assert [i.digest for i in warm.instances] == [i.digest for i in cold.instances]
+        assert (tmp_path / "warm.json").read_bytes() == (tmp_path / "cold.json").read_bytes()
+
+    @pytest.mark.parametrize("damage", [lambda data: b"garbage",
+                                        lambda data: data[:len(data) // 2]],
+                             ids=["garbage", "truncated"])
+    def test_damaged_entry_is_parsed_again_and_rewritten(self, cache_dir, parses, tmp_path,
+                                                         damage):
+        src = one_fixture(tmp_path)
+        first = ingest_benchmarks(src)
+        [entry] = entries(cache_dir)
+        good = entry.read_bytes()
+        entry.write_bytes(damage(good))
+        again = ingest_benchmarks(src)
+        assert parses == ["genuf50-01", "genuf50-01"]
+        assert entry.read_bytes() == good
+        assert again.manifest() == first.manifest()
+        assert again.instances[0].formula == first.instances[0].formula
+
+    def test_edited_file_gets_a_new_entry(self, cache_dir, parses, tmp_path):
+        src = one_fixture(tmp_path)
+        ingest_benchmarks(src)
+        [old] = entries(cache_dir)
+        path = src / "genuf50-01.cnf"
+        path.write_text("c edited\n" + path.read_text())
+        ingest_benchmarks(src)
+        assert len(parses) == 2
+        assert old in entries(cache_dir) and len(entries(cache_dir)) == 2
+
+    def test_entries_of_another_parser_version_are_pruned_once_per_ingest(
+            self, cache_dir, monkeypatch, tmp_path):
+        cache_dir.mkdir()
+        stale = cache_dir / "_dimacs.0123456789abcdef.0123.marshal"
+        stale.write_bytes(b"old")
+        kernel = cache_dir / "_kernel.0123456789abcdef.so"
+        kernel.write_bytes(b"not ours")
+        prunes = []
+        prune = _kernel.prune
+        monkeypatch.setattr(_kernel, "prune", lambda *args: prunes.append(args) or prune(*args))
+        ingest_benchmarks(DATA_DIR)
+        assert len(prunes) == 1
+        assert not stale.exists() and kernel.exists()
+        assert len(entries(cache_dir)) == 30
+        assert all(e.name.startswith(f"_dimacs.{harness._parser_version()}.")
+                   for e in entries(cache_dir))
+        ingest_benchmarks(DATA_DIR)
+        assert len(prunes) == 1  # a warm ingest writes nothing and scans nothing
+
+    @pytest.mark.parametrize("blocked", ["no-directory", "no-rename"])
+    def test_unwritable_cache_still_ingests_silently(self, cache_dir, monkeypatch, tmp_path,
+                                                     capsys, parses, blocked):
+        src = one_fixture(tmp_path)
+        expected = ingest_benchmarks(src).manifest()
+        parses.clear()
+        capsys.readouterr()
+        if blocked == "no-directory":
+            not_a_dir = tmp_path / "file"
+            not_a_dir.write_text("")
+            monkeypatch.setattr(_kernel, "CACHE_DIR", not_a_dir / "__pycache__")
+        else:
+            monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path / "blocked")
+
+            def refuse(src, dst):
+                raise PermissionError(dst)
+
+            monkeypatch.setattr(_kernel.os, "replace", refuse)
+        for _ in range(2):
+            assert ingest_benchmarks(src).manifest() == expected
+        assert len(parses) == 2
+        assert capsys.readouterr().err == ""
+        if blocked == "no-rename":
+            assert list((tmp_path / "blocked").iterdir()) == []
+
+    @pytest.mark.parametrize("name, text", [
+        ("repeat.cnf", "p cnf 3 1\n1 1 2 0\n"),
+        ("sparse.cnf", "p cnf 9 1\n1 2 3 0\n"),
+    ], ids=["dimacs-error", "ratio"])
+    def test_bad_file_is_named_on_cold_and_warm_cache(self, cache_dir, tmp_path, name, text):
+        (tmp_path / name).write_text(text)
+        for _ in range(2):
+            with pytest.raises(BenchmarkError, match=name):
+                ingest_benchmarks(tmp_path / name)
+        assert len(entries(cache_dir)) == (name == "sparse.cnf")
 
 
 class TestSplit:

@@ -5,6 +5,7 @@ import random
 import shutil
 import subprocess
 import time
+from pathlib import Path
 
 import pytest
 
@@ -219,3 +220,24 @@ def test_kernel_compiles_without_warnings(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+TRAJECTORY_SHA256 = "45979331a31f9185c14c95d3c1608fe073fb462c43b0c57751463b396f807fdf"
+
+
+def test_trajectory_checksum_is_unchanged(session_cache):
+    """No RNG draw and no result changed on the tool's grid of 380 runs.  The
+    tool ingests the fixtures through the parse cache, so this also covers a
+    cache hit once the cache is warm.  A change that alters results on purpose
+    updates the hash."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "trajectory_checksum.py"
+    code = (
+        "import runpy, sys\n"
+        "from pathlib import Path\n"
+        "from saflip import _kernel\n"
+        "_kernel.CACHE_DIR = Path(sys.argv[1])\n"
+        "runpy.run_path(sys.argv[2], run_name='__main__')\n"
+    )
+    proc = run_python("-c", code, str(session_cache), str(tool), timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"{TRAJECTORY_SHA256}  380 runs, ")

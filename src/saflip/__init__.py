@@ -1,6 +1,6 @@
 """Annealer-vs-placebo evaluation toolkit for 3-SAT local search."""
 
-from .annealing import RunOutcome, SolverParams, acceptance_probability, run_sa_flip
+from .annealing import RunOutcome, SolverParams, run_sa_flip
 from .ber import (
     BerReport,
     PairingError,
@@ -9,8 +9,7 @@ from .ber import (
     ber_pairwise,
     success_rate,
 )
-from .cnf import CnfFormula, DimacsError, EvalState, parse_dimacs, serialize_dimacs
-from .flip import FlipOutcome
+from .cnf import CnfFormula, DimacsError, parse_dimacs, serialize_dimacs
 from .placebo import run_placebo_flip
 
 __version__ = "0.1.0"
@@ -21,13 +20,10 @@ __all__ = [
     "BerReport",
     "CnfFormula",
     "DimacsError",
-    "EvalState",
-    "FlipOutcome",
     "PairingError",
     "ResultMatrix",
     "RunOutcome",
     "SolverParams",
-    "acceptance_probability",
     "ber_grouped",
     "ber_pairwise",
     "parse_dimacs",

@@ -1,5 +1,6 @@
-/* One SA[Flip] or placebo run in C, step for step the Python reference loop
- * in saflip/annealing.py (`_run_loop`) under its acceptance `rule`.
+/* One SA[Flip] or placebo run in C under the acceptance `rule`: the run loop
+ * of saflip.annealing (`_run_loop`), step for step the Python reference loop
+ * `run_loop` in tests/reference.py.
  *
  * The random stream is CPython's random.Random: MT19937 (`genrand_uint32`),
  * `random()` from two 32-bit words, `randrange(n)` as rejection sampling over
@@ -164,11 +165,12 @@ static void flip(const Formula *f, State *s, Rng *r, int *perm)
     }
 }
 
-enum { METROPOLIS = 0, COIN = 1 }; /* saflip.annealing's acceptance rules */
+enum { METROPOLIS = 0, COIN = 1 }; /* saflip.annealing.METROPOLIS and COIN */
 enum { RUN_OK = 0, RUN_NONPOSITIVE_TEMPERATURE = 1, RUN_NO_MEMORY = 2 };
 
-/* saflip.annealing.accept with the same draws: 1 to accept, 0 to reject,
- * -1 when METROPOLIS meets t <= 0 (after its draw, as Python raises). */
+/* `accept` of tests/reference.py with the same draws: 1 to accept, 0 to
+ * reject, -1 when METROPOLIS meets t <= 0 (after its draw, as Python
+ * raises). */
 static int accept(int rule, Rng *r, double delta_y, double t)
 {
     double u;

@@ -9,8 +9,8 @@ not load is rebuilt.  Where `__pycache__` cannot be written, the kernel is
 built into a temporary directory that is removed once the library is loaded.
 `publish` and `prune` keep the cache's policy for this module and for the
 DIMACS parse cache in `harness`.
-When it cannot be built, `load` warns once on stderr and returns None, and
-the solvers run the Python reference loop instead.
+The kernel is the only run loop: when it cannot be built, `load` raises
+RuntimeError with the compiler's message.
 """
 
 from __future__ import annotations
@@ -111,7 +111,9 @@ def _library():
 
 @functools.cache
 def load():
-    """The kernel's `saflip_run` function, or None if it cannot be built."""
+    """The kernel's `saflip_run` function; raises RuntimeError with the
+    compiler's message when it cannot be built.  A failure is not cached, so
+    callers load once, before their first run."""
     import ctypes
     import subprocess
 
@@ -119,9 +121,7 @@ def load():
         lib = _library()
     except (OSError, subprocess.SubprocessError) as exc:
         reason = exc.stderr.strip() if getattr(exc, "stderr", None) else exc
-        print(f"saflip: C kernel unavailable, running the Python loop ({reason})",
-              file=sys.stderr)
-        return None
+        raise RuntimeError(f"the C kernel cannot be built: {reason}") from exc
     fn = lib.saflip_run
     fn.argtypes = [
         ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,

@@ -146,6 +146,26 @@ def check_delta(delta):
     return delta
 
 
+def delta_key(delta):
+    """delta to 4 decimals: the key of its BER table in `summary.json` and
+    in the table's file name, `ber_<key>.csv`."""
+    return f"{delta:.4f}"
+
+
+def check_deltas(deltas):
+    """The deltas checked by `check_delta`, as a tuple; raises ValueError
+    when two share a `delta_key`, since one's table would overwrite the
+    other's."""
+    checked = tuple(map(check_delta, deltas))
+    first = {}
+    for delta in checked:
+        key = delta_key(delta)
+        if key in first:
+            raise ValueError(f"deltas {first[key]!r} and {delta!r} both write ber_{key}.csv")
+        first[key] = delta
+    return checked
+
+
 def ber_pairwise(ym, y0, delta):
     """BER over all within-instance ordered run pairs of two paired matrices.
 

@@ -16,11 +16,12 @@ import math
 import sys
 from pathlib import Path
 
-from . import harness
+from . import _kernel, harness
 from .ber import (
     ber_grouped,
-    check_delta,
+    check_deltas,
     check_paired,
+    delta_key,
     read_result_csv,
     write_ber_csv,
     write_result_csv,
@@ -91,11 +92,16 @@ def cmd_fetch(args):
 
 def _load_plan(args):
     """(plan, benchmark set, output directory) of the --config file, with
-    --seed and --out applied."""
+    --seed and --out applied.  Also loads the C kernel, so that a kernel that
+    cannot be built is reported, as ValueError, before any output exists."""
     config = harness.ExperimentConfig.from_file(args.config)
     if args.seed is not None:
         config.master_seed = args.seed
     plan, bset = config.build_plan()
+    try:
+        _kernel.load()
+    except RuntimeError as exc:
+        raise ValueError(str(exc)) from exc
     return plan, bset, Path(args.out or config.out_dir)
 
 
@@ -150,7 +156,7 @@ def cmd_run(args):
 
 def _read_inputs(args):
     """The --delta list and the paired result matrices of `ber` and `report`."""
-    deltas = [check_delta(d) for d in args.delta.split(",")]
+    deltas = check_deltas(args.delta.split(","))
     ym = read_result_csv(args.results_m)
     y0 = read_result_csv(args.results_0)
     check_paired(ym, y0)
@@ -175,10 +181,11 @@ def cmd_ber(args):
     paths = {}
     for delta in deltas:
         reports = ber_grouped(ym, y0, delta)
-        path = out_dir / f"ber_{delta:.4f}.csv"
+        name = f"ber_{delta_key(delta)}"
+        path = out_dir / f"{name}.csv"
         write_ber_csv(reports, path)
         _print_ber_table(reports, delta)
-        paths[f"ber_{delta:.4f}"] = str(path)
+        paths[name] = str(path)
     _emit(paths)
     return EXIT_OK
 

@@ -21,7 +21,8 @@ from .annealing import SolverParams, run_sa_flip
 from .ber import (
     ResultMatrix,
     ber_grouped,
-    check_delta,
+    check_deltas,
+    delta_key,
     group_rows,
     success_rate,
     write_ber_csv,
@@ -258,7 +259,7 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one instance")
         if self.n_runs < 1:
             raise ValueError("n_runs must be >= 1")
-        self.deltas = tuple(check_delta(d) for d in self.deltas)
+        self.deltas = check_deltas(self.deltas)
 
     def seed_matrix(self):
         """l x n matrix of run seeds, identical for both algorithms."""
@@ -323,14 +324,11 @@ def _key(rec):
 
 def _records(cells, jobs):
     """The record of each cell, in order; `jobs` > 1 runs them in a pool of
-    that many processes."""
+    that many processes, or of one per cell where there are fewer cells."""
     if jobs > 1 and cells:
         from concurrent.futures import ProcessPoolExecutor
 
-        # Load the C kernel once, here: forked workers inherit the
-        # loaded library instead of racing to compile it on a cold cache.
-        _kernel.load()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             yield from pool.map(_run_cell, cells)
     else:
         yield from map(_run_cell, cells)
@@ -348,8 +346,9 @@ def execute(plan, algorithms=("sa", "placebo"), jobs=1, journal_path=None,
     done so far, this one included; cells already in the journal are
     skipped, which makes an interrupted experiment resumable and lets the
     seed pairing be audited.
-    A failed cell removes its run column from the matrices of every
-    algorithm, so they stay rectangular and paired.
+    A failed cell of the plan, under any algorithm in the journal, removes
+    its run column from the matrices of every algorithm, so they stay
+    rectangular and paired.
     """
     algorithms = check_algorithms(algorithms)
     done = {}
@@ -365,6 +364,10 @@ def execute(plan, algorithms=("sa", "placebo"), jobs=1, journal_path=None,
         for algo in algorithms
         if (algo, inst.instance_id, j) not in done
     ]
+    # Load the C kernel once, before the first cell: a failed build raises
+    # here instead of failing (and recompiling in) every cell, and forked
+    # workers inherit the loaded library instead of racing to compile it.
+    _kernel.load()
     total = len(plan.instances) * plan.n_runs * len(algorithms)
     sink = open(journal_path, "a") if journal_path else contextlib.nullcontext()
     with sink as journal:
@@ -376,7 +379,9 @@ def execute(plan, algorithms=("sa", "placebo"), jobs=1, journal_path=None,
             if progress:
                 progress(rec, position, total)
 
-    failed = sorted({(iid, j) for (_, iid, j), rec in done.items() if "error" in rec})
+    ids = {inst.instance_id for inst in plan.instances}
+    failed = sorted({(iid, j) for (_, iid, j), rec in done.items()
+                     if "error" in rec and iid in ids and j < plan.n_runs})
     failed_cols = {j for _, j in failed}
     kept_cols = [j for j in range(plan.n_runs) if j not in failed_cols]
     if not kept_cols:
@@ -422,13 +427,13 @@ def summarize(ym, y0, out_dir, deltas=DEFAULT_DELTAS):
         "algorithms": [label for label, _ in pair],
         "mean_y": {label: _group_means(m) for label, m in pair},
         "success_rate": {label: success_rate(m) for label, m in pair},
-        "ber": {f"{delta:.4f}": [rep.as_dict() for rep in reports]
+        "ber": {delta_key(delta): [rep.as_dict() for rep in reports]
                 for delta, reports in ber_tables.items()},
     }
     out_dir = Path(out_dir)
     (out_dir / "plots").mkdir(parents=True, exist_ok=True)
     for delta, reports in ber_tables.items():
-        write_ber_csv(reports, out_dir / f"ber_{delta:.4f}.csv")
+        write_ber_csv(reports, out_dir / f"ber_{delta_key(delta)}.csv")
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     _write_plot_outputs(pair, out_dir / "plots")
     return summary

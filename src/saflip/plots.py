@@ -12,10 +12,6 @@ COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 BINS = 20
 
 
-def _fmt(x):
-    return f"{x:.2f}".rstrip("0").rstrip(".") or "0"
-
-
 def ecdf_points(values):
     """Sorted (value, cumulative fraction) step points of the empirical CDF."""
     n = len(values)
@@ -37,7 +33,9 @@ def histogram_counts(values, lo, hi):
 
 
 class _Canvas:
-    def __init__(self, title, xlabel, ylabel, xmax, ymax):
+    """Axes over x in [xmin, xmin + xspan] and y in [0, ymax]."""
+
+    def __init__(self, title, xlabel, ylabel, xmin, xspan, ymax):
         self.parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
             f'viewBox="0 0 {WIDTH} {HEIGHT}">',
@@ -45,12 +43,13 @@ class _Canvas:
             f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
             f'font-family="sans-serif" font-size="16">{title}</text>',
         ]
-        self.xmax = xmax if xmax > 0 else 1.0
+        self.xmin = xmin
+        self.xspan = xspan if xspan > 0 else 1.0
         self.ymax = ymax if ymax > 0 else 1.0
         self._axes(xlabel, ylabel)
 
     def px(self, x):
-        return MARGIN_L + (x / self.xmax) * (WIDTH - MARGIN_L - MARGIN_R)
+        return MARGIN_L + ((x - self.xmin) / self.xspan) * (WIDTH - MARGIN_L - MARGIN_R)
 
     def py(self, y):
         return HEIGHT - MARGIN_B - (y / self.ymax) * (HEIGHT - MARGIN_T - MARGIN_B)
@@ -64,7 +63,7 @@ class _Canvas:
             f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black"/>'
         )
         for i in range(5):
-            xv = self.xmax * i / 4
+            xv = self.xmin + self.xspan * i / 4
             yv = self.ymax * i / 4
             xp, yp = self.px(xv), self.py(yv)
             p.append(
@@ -103,8 +102,8 @@ class _Canvas:
 def ecdf_svg(series, title="ECDF of performance scores"):
     """Render one or more ECDFs; `series` maps label -> list of values."""
     xmax = max((max(vs) for vs in series.values() if vs), default=0.0)
-    canvas = _Canvas(title, "score", "cumulative fraction", xmax=max(xmax, 1e-12),
-                     ymax=1.0)
+    canvas = _Canvas(title, "score", "cumulative fraction", xmin=0.0,
+                     xspan=max(xmax, 1e-12), ymax=1.0)
     for i, (label, values) in enumerate(series.items()):
         if not values:
             continue
@@ -116,7 +115,7 @@ def ecdf_svg(series, title="ECDF of performance scores"):
             path.append(f"L {canvas.px(x):.2f} {canvas.py(prev_y):.2f}")
             path.append(f"L {canvas.px(x):.2f} {canvas.py(y):.2f}")
             prev_y = y
-        path.append(f"L {canvas.px(canvas.xmax):.2f} {canvas.py(prev_y):.2f}")
+        path.append(f"L {canvas.px(canvas.xmin + canvas.xspan):.2f} {canvas.py(prev_y):.2f}")
         canvas.parts.append(
             f'<path d="{" ".join(path)}" fill="none" stroke="{color}" stroke-width="1.8"/>'
         )
@@ -135,15 +134,16 @@ def histogram_svg(series, title="Histogram of performance scores"):
         if values
     }
     ymax = max((max(c) for _, c in per_series.values()), default=1)
-    canvas = _Canvas(title, "score", "runs", xmax=max(hi - lo, 1e-12), ymax=float(ymax))
+    canvas = _Canvas(title, "score", "runs", xmin=lo, xspan=max(hi - lo, 1e-12),
+                     ymax=float(ymax))
     k = max(len(per_series), 1)
     for i, (label, (edges, counts)) in enumerate(per_series.items()):
         color = COLORS[i % len(COLORS)]
         for b, count in enumerate(counts):
             if count == 0:
                 continue
-            full_x0 = canvas.px(edges[b] - lo)
-            full_x1 = canvas.px(edges[b + 1] - lo)
+            full_x0 = canvas.px(edges[b])
+            full_x1 = canvas.px(edges[b + 1])
             bar_w = (full_x1 - full_x0) / k
             x = full_x0 + i * bar_w
             y = canvas.py(count)

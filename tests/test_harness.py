@@ -336,6 +336,63 @@ class TestExecute:
         assert kernel_cache() == 1
         assert len(list(_kernel.CACHE_DIR.glob("_kernel.*.so"))) == 1
 
+    def test_pool_is_no_larger_than_the_work(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:  # runs the cells in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        plan = toy_plan(tmp_path, per_group=1, n_runs=1)
+        serial, _ = execute(plan)
+        pooled, _ = execute(plan, jobs=32)
+        assert pooled == serial
+        assert sizes == [2 * 1 * 2]  # instances * runs * algorithms
+
+    def test_unbuildable_kernel_fails_before_any_cell(self, tmp_path, kernel_cache,
+                                                      monkeypatch):
+        plan = toy_plan(tmp_path, per_group=1, n_runs=1)
+        monkeypatch.setattr(_kernel, "_compiler", lambda: ["/nonexistent/cc"])
+        journal = tmp_path / "journal.jsonl"
+        for jobs in (1, 2):
+            with pytest.raises(RuntimeError, match="/nonexistent/cc"):
+                execute(plan, jobs=jobs, journal_path=journal)
+        assert not journal.exists()
+
+    def test_only_the_plans_cells_count_as_failed(self, tmp_path):
+        plan = toy_plan(tmp_path, per_group=1, n_runs=2)
+        first = plan.instances[0].instance_id
+        journal = tmp_path / "journal.jsonl"
+
+        def append_error(algo, instance_id, run_index):
+            with journal.open("a") as fh:
+                fh.write(json.dumps({"algorithm": algo, "instance_id": instance_id,
+                                     "run_index": run_index, "seed": 0, "error": "x"}) + "\n")
+
+        append_error("sa", first, 7)
+        append_error("sa", "another-instance", 0)
+        matrices, failed = execute(plan, journal_path=journal)
+        assert failed == []
+        assert matrices["sa"].num_runs == 2
+        # Another algorithm's failed cell still removes its column, so that
+        # result CSVs written by separate calls stay paired.
+        append_error("placebo", first, 1)
+        matrices, failed = execute(plan, algorithms=("sa",), journal_path=journal)
+        assert failed == [(first, 1)]
+        assert matrices["sa"].num_runs == 1
+
     def test_single_algorithm_subset(self, tmp_path):
         plan = toy_plan(tmp_path, per_group=1, n_runs=2)
         matrices, _ = execute(plan, algorithms=("sa",))

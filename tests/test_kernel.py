@@ -1,33 +1,29 @@
-"""The C run loop against the Python reference loop it replaces."""
+"""The C run loop against the Python reference loop in `reference.py`."""
 
 import dataclasses
 import random
-import shutil
 import subprocess
 import time
 from pathlib import Path
 
 import pytest
 
+import reference
 from saflip import _kernel
-from saflip.annealing import SolverParams, run_sa_flip
+from saflip.annealing import COIN, METROPOLIS, SolverParams, run_sa_flip
 from saflip.cnf import CnfFormula
 from saflip.placebo import run_placebo_flip
 
 from conftest import PINNED, random_3cnf, run_python
 
 SOLVERS = (run_sa_flip, run_placebo_flip)
+RULES = {run_sa_flip: METROPOLIS, run_placebo_flip: COIN}
 UNSAT_PAIR = CnfFormula(1, ((1,), (-1,)), source_id="unsat-pair")
 
 
 @pytest.fixture(scope="module")
 def kernel():
-    fn = _kernel.load()
-    if fn is None:
-        compiler = _kernel._compiler()[0]
-        assert shutil.which(compiler) is None, f"{compiler} is on PATH but the kernel did not load"
-        pytest.skip("no C compiler")
-    return fn
+    return _kernel.load()
 
 
 def result(solver, formula, params):
@@ -37,6 +33,11 @@ def result(solver, formula, params):
     except Exception as exc:
         return type(exc), str(exc)
     return dataclasses.replace(out, wall_time=0.0)
+
+
+def reference_result(solver, formula, params):
+    """`result` of the reference loop under `solver`'s acceptance rule."""
+    return result(lambda f, p: reference.run_loop(f, p, RULES[solver]), formula, params)
 
 
 def outcomes():
@@ -52,20 +53,14 @@ def expected(kernel):
     return outcomes()
 
 
-def reference(solver, formula, params, monkeypatch):
-    with monkeypatch.context() as m:
-        m.setattr(_kernel, "load", lambda: None)
-        return result(solver, formula, params)
-
-
-def test_fixture_grid_matches_reference(kernel, fixture_benchmarks, monkeypatch):
+def test_fixture_grid_matches_reference(kernel, fixture_benchmarks):
     assert len(fixture_benchmarks.instances) == 30
     for inst in fixture_benchmarks.instances:
         for seed in (1, 2, 3):
             params = SolverParams(**PINNED, seed=seed)
             for solver in SOLVERS:
                 fast = result(solver, inst.formula, params)
-                assert fast == reference(solver, inst.formula, params, monkeypatch), (
+                assert fast == reference_result(solver, inst.formula, params), (
                     inst.instance_id, seed, solver.__name__)
 
 
@@ -86,14 +81,14 @@ def random_case(rng, i):
     return formula, params
 
 
-def test_random_formulas_match_reference(kernel, monkeypatch):
+def test_random_formulas_match_reference(kernel):
     rng = random.Random(2024)
     raised = []
     for i in range(320):
         formula, params = random_case(rng, i)
         for solver in SOLVERS:
             fast = result(solver, formula, params)
-            assert fast == reference(solver, formula, params, monkeypatch), (i, solver.__name__)
+            assert fast == reference_result(solver, formula, params), (i, solver.__name__)
             if fast == (ValueError, "temperature must be positive"):
                 raised.append(i)
     assert raised[0] == 1
@@ -106,7 +101,7 @@ def mixed_cnf(n, m, rng):
                                for _ in range(m)))
 
 
-def test_mixed_width_formulas_match_reference(kernel, monkeypatch):
+def test_mixed_width_formulas_match_reference(kernel):
     """Clause widths 1-5 and clauses holding x and -x, which 3-CNF never has."""
     rng = random.Random(5151)
     tautologies = unsolved = 0
@@ -118,20 +113,15 @@ def test_mixed_width_formulas_match_reference(kernel, monkeypatch):
                               seed=rng.randrange(2**64))
         for solver in SOLVERS:
             fast = result(solver, formula, params)
-            assert fast == reference(solver, formula, params, monkeypatch), (i, solver.__name__)
+            assert fast == reference_result(solver, formula, params), (i, solver.__name__)
             unsolved += not fast.solved
     assert tautologies > 100 and unsolved > 100
 
 
-def test_missing_compiler_falls_back_with_one_warning(expected, kernel_cache, monkeypatch,
-                                                      capsys):
-    capsys.readouterr()
+def test_missing_compiler_raises_naming_it(kernel_cache, monkeypatch):
     monkeypatch.setattr(_kernel, "_compiler", lambda: ["/nonexistent/cc"])
-    assert outcomes() == expected
-    assert _kernel.load() is None
-    err = capsys.readouterr().err
-    assert err.count("C kernel unavailable") == 1
-    assert "/nonexistent/cc" in err
+    with pytest.raises(RuntimeError, match="/nonexistent/cc"):
+        _kernel.load()
     assert list(_kernel.CACHE_DIR.iterdir()) == []
 
 
@@ -159,14 +149,14 @@ def test_cold_cache_builds_once_and_later_loads_build_nothing(expected, kernel_c
 
 
 def test_fresh_process_loads_the_cached_library(kernel, kernel_cache):
-    assert _kernel.load() is not None
+    _kernel.load()
     code = (
         "import sys\n"
         "from pathlib import Path\n"
         "from saflip import _kernel\n"
         "_kernel.CACHE_DIR = Path(sys.argv[1])\n"
         "_kernel._compiler = lambda: sys.argv[2:]\n"
-        "raise SystemExit(_kernel.load() is None)\n"
+        "_kernel.load()\n"
     )
     proc = run_python("-c", code, str(_kernel.CACHE_DIR), *_kernel._compiler())
     assert proc.returncode == 0, proc.stderr
@@ -206,16 +196,13 @@ def test_unwritable_cache_builds_into_a_temporary_directory(expected, kernel_cac
     assert kernel_cache() == 1
     assert capsys.readouterr().err == ""
     _kernel.load.cache_clear()
-    assert _kernel.load() is not None
+    _kernel.load()
     assert kernel_cache() == 2
 
 
 def test_kernel_compiles_without_warnings(tmp_path):
-    compiler = _kernel._compiler()
-    if shutil.which(compiler[0]) is None:
-        pytest.skip("no C compiler")
     proc = subprocess.run(
-        [*compiler, *_kernel.CFLAGS, "-Wall", "-Wextra", "-Werror",
+        [*_kernel._compiler(), *_kernel.CFLAGS, "-Wall", "-Wextra", "-Werror",
          "-o", str(tmp_path / "_kernel.so"), str(_kernel.SOURCE), "-lm"],
         capture_output=True, text=True, timeout=120,
     )

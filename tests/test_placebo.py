@@ -1,7 +1,8 @@
 import dataclasses
 import random
 
-from saflip.annealing import COIN, SolverParams, accept
+from reference import accept
+from saflip.annealing import COIN, SolverParams
 from saflip.cnf import CnfFormula
 from saflip.placebo import run_placebo_flip
 

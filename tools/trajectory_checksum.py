@@ -20,7 +20,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from saflip import _kernel
 from saflip.annealing import SolverParams, run_sa_flip
 from saflip.cnf import CnfFormula
 from saflip.harness import ingest_benchmarks
@@ -58,8 +57,7 @@ def main():
             del out["wall_time"]
             h.update(json.dumps(out, sort_keys=True).encode() + b"\n")
             count += 1
-    kernel = "C" if _kernel.load() else "Python"
-    print(f"{h.hexdigest()}  {count} runs, {kernel} loop")
+    print(f"{h.hexdigest()}  {count} runs, C loop")
 
 
 if __name__ == "__main__":

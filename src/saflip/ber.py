@@ -13,6 +13,7 @@ import csv
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from pathlib import Path
 
 
 class PairingError(ValueError):
@@ -274,12 +275,20 @@ def read_result_csv(path):
     )
 
 
-def write_ber_csv(reports, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "delta", "b", "e", "r", "comparisons"])
-        for rep in reports:
-            writer.writerow(
-                [rep.group, rep.delta, rep.b, rep.e, rep.r, rep.comparisons]
-            )
+def write_ber_tables(tables, out_dir):
+    """Write each {delta: reports} table of `ber_grouped` under out_dir as
+    `ber_<delta_key>.csv`; return {"ber_<delta_key>": path}, in order."""
+    paths = {}
+    for delta, reports in tables.items():
+        name = f"ber_{delta_key(delta)}"
+        path = Path(out_dir) / f"{name}.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["group", "delta", "b", "e", "r", "comparisons"])
+            for rep in reports:
+                writer.writerow(
+                    [rep.group, rep.delta, rep.b, rep.e, rep.r, rep.comparisons]
+                )
+        paths[name] = str(path)
+    return paths
 

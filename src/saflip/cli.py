@@ -21,9 +21,8 @@ from .ber import (
     ber_grouped,
     check_deltas,
     check_paired,
-    delta_key,
     read_result_csv,
-    write_ber_csv,
+    write_ber_tables,
     write_result_csv,
 )
 
@@ -178,14 +177,10 @@ def cmd_ber(args):
         return EXIT_USAGE
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = {}
-    for delta in deltas:
-        reports = ber_grouped(ym, y0, delta)
-        name = f"ber_{delta_key(delta)}"
-        path = out_dir / f"{name}.csv"
-        write_ber_csv(reports, path)
+    tables = {delta: ber_grouped(ym, y0, delta) for delta in deltas}
+    paths = write_ber_tables(tables, out_dir)
+    for delta, reports in tables.items():
         _print_ber_table(reports, delta)
-        paths[name] = str(path)
     _emit(paths)
     return EXIT_OK
 

@@ -7,12 +7,10 @@ import contextlib
 import csv
 import dataclasses
 import functools
-import gzip
 import hashlib
 import json
 import marshal
 import random
-import tarfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,7 +23,7 @@ from .ber import (
     delta_key,
     group_rows,
     success_rate,
-    write_ber_csv,
+    write_ber_tables,
 )
 from .cnf import CnfFormula, DimacsError, parse_dimacs
 from .placebo import run_placebo_flip
@@ -120,17 +118,25 @@ def _iter_cnf_texts(source):
     name = path.name
     if not name.endswith(SOURCE_SUFFIXES):
         raise BenchmarkError(f"unsupported benchmark source: {source}")
+    # tarfile and gzip are imported only where an archive is read: a plain
+    # .cnf needs neither, and `import saflip.cli` stays lighter without them.
+    errors = (UnicodeDecodeError, EOFError, OSError)
     try:
         if name.endswith((".tar.gz", ".tgz", ".tar")):
+            import tarfile
+
+            errors += (tarfile.TarError,)
             with tarfile.open(path) as tar:
                 for member in sorted(tar.getmembers(), key=lambda m: m.name):
                     if member.isfile() and member.name.endswith(".cnf"):
                         yield Path(member.name).name, tar.extractfile(member).read().decode()
         elif name.endswith(".cnf.gz"):
+            import gzip
+
             yield name[: -len(".gz")], gzip.decompress(path.read_bytes()).decode()
         else:
             yield name, path.read_text()
-    except (UnicodeDecodeError, tarfile.TarError, EOFError, OSError) as exc:
+    except errors as exc:
         raise BenchmarkError(f"{source}: {exc}") from exc
 
 
@@ -432,8 +438,7 @@ def summarize(ym, y0, out_dir, deltas=DEFAULT_DELTAS):
     }
     out_dir = Path(out_dir)
     (out_dir / "plots").mkdir(parents=True, exist_ok=True)
-    for delta, reports in ber_tables.items():
-        write_ber_csv(reports, out_dir / f"ber_{delta_key(delta)}.csv")
+    write_ber_tables(ber_tables, out_dir)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     _write_plot_outputs(pair, out_dir / "plots")
     return summary

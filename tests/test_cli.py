@@ -530,7 +530,7 @@ def test_import_leaves_out_what_only_some_commands_use():
         "import sys\n"
         "import saflip.cli\n"
         "print(sorted({'numpy', 'urllib.request', 'concurrent.futures', 'saflip.doe',\n"
-        "              'statistics'} & set(sys.modules)))\n"
+        "              'statistics', 'tarfile', 'gzip'} & set(sys.modules)))\n"
     )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr

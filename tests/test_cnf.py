@@ -9,8 +9,6 @@ from saflip.cnf import (
     CnfFormula,
     DimacsError,
     EvalState,
-    _parse_by_token,
-    _parse_usual,
     parse_dimacs,
     serialize_dimacs,
 )
@@ -196,8 +194,7 @@ def _satlib(header, n, clauses, sep, tail, extra=0):
     return sep.join(lines) + sep + tail
 
 
-# The SATLIB layout and near misses of it, which the bulk reader must either
-# read as the token reader does or hand over to it.
+# The SATLIB layout and near misses of it.
 SATLIB_HEADERS = ("p cnf", "p  cnf", "p dnf", "q cnf", "p")
 SATLIB_SEPS = ("\n", " \n", "\r\n", "\n0\n", "\n\n", "\nc note\n", "\n%\n")
 SATLIB_TAILS = ("", "%\n0\n", "%\n0\n\n", " % x\n", "%\n%\n0\n", "0\n", "0 0\n",
@@ -215,9 +212,7 @@ satlib_like = st.builds(
 )
 
 
-@settings(max_examples=500, deadline=None)
-@given(dimacs_like)
-def test_parse_dimacs_accepts_or_raises_dimacs_error(text):
+def _accepts_or_raises_dimacs_error(text):
     try:
         f = parse_dimacs(text)
     except DimacsError:
@@ -225,28 +220,22 @@ def test_parse_dimacs_accepts_or_raises_dimacs_error(text):
     assert parse_dimacs(serialize_dimacs(f)) == f
 
 
-def _reads_as_the_token_reader_or_hands_over(text):
-    fast = _parse_usual(text, "s")
-    if fast is not None:
-        assert fast == _parse_by_token(text, "s")
-
-
 @settings(max_examples=500, deadline=None)
 @given(dimacs_like | satlib_like)
-def test_bulk_reader_reads_as_the_token_reader_or_hands_over(text):
-    _reads_as_the_token_reader_or_hands_over(text)
+def test_parse_dimacs_accepts_or_raises_dimacs_error(text):
+    _accepts_or_raises_dimacs_error(text)
 
 
-def test_bulk_reader_on_every_satlib_layout():
+def test_parse_dimacs_on_every_satlib_layout():
     for header, sep, tail, extra in itertools.product(SATLIB_HEADERS, SATLIB_SEPS,
                                                       SATLIB_TAILS, (0, 1, -1)):
-        _reads_as_the_token_reader_or_hands_over(
+        _accepts_or_raises_dimacs_error(
             _satlib(header, 3, [(1, -2, 3), (-1, 2)], sep, tail, extra))
 
 
-def test_bulk_reader_reads_the_fixtures_and_the_satlib_footer():
+def test_parse_dimacs_reads_the_fixtures_and_the_satlib_footer():
     for path in sorted(DATA_DIR.glob("*.cnf")):
-        assert _parse_usual(path.read_text(), path.stem) == _parse_by_token(
-            path.read_text(), path.stem)
+        text = path.read_text()  # written by serialize_dimacs, one clause a line
+        assert serialize_dimacs(parse_dimacs(text, path.stem)) == text
     text = "c uf3\np cnf 3 2\n 1 -2 3 0\n-1 2 -3 0\n%\n0\n\n"
-    assert _parse_usual(text, "") == CnfFormula(3, ((1, -2, 3), (-1, 2, -3)))
+    assert parse_dimacs(text, "") == CnfFormula(3, ((1, -2, 3), (-1, 2, -3)))

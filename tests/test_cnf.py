@@ -221,8 +221,14 @@ def _accepts_or_raises_dimacs_error(text):
 
 
 @settings(max_examples=500, deadline=None)
-@given(dimacs_like | satlib_like)
+@given(dimacs_like)
 def test_parse_dimacs_accepts_or_raises_dimacs_error(text):
+    _accepts_or_raises_dimacs_error(text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(satlib_like)
+def test_parse_dimacs_accepts_or_raises_on_satlib_like_text(text):
     _accepts_or_raises_dimacs_error(text)
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import os
 import sys
+import weakref
 from array import array
 from itertools import accumulate, chain
 from pathlib import Path
@@ -132,6 +133,27 @@ def load():
     return fn
 
 
+_packed = {}  # id(formula) -> (weak reference, lits, starts)
+
+
+def _pack(formula):
+    """The kernel's arrays of `formula`: every clause's literals in one
+    array, and where each clause starts in it.  Built once per formula
+    object and dropped when the formula is collected, so a formula's runs
+    in one process share them; keyed by identity, since hashing a formula
+    hashes all its clauses."""
+    key = id(formula)
+    entry = _packed.get(key)
+    if entry is None or entry[0]() is not formula:
+        clauses = formula.clauses
+        entry = _packed[key] = (
+            weakref.ref(formula, lambda _: _packed.pop(key, None)),
+            array("i", chain.from_iterable(clauses)),
+            array("i", accumulate(map(len, clauses), initial=0)),
+        )
+    return entry[1], entry[2]
+
+
 def run(fn, formula, params, rng_state, rule):
     """One run through the kernel function `fn` from `load()` under the
     acceptance `rule` (`annealing.METROPOLIS` or `annealing.COIN`).
@@ -140,16 +162,15 @@ def run(fn, formula, params, rng_state, rule):
     (best values, best unsat count, minimum evaluated unsat count, Flip calls,
     completed temperature levels).
     """
-    n, clauses = formula.num_vars, formula.clauses
-    lits = array("i", chain.from_iterable(clauses))
-    starts = array("i", accumulate(map(len, clauses), initial=0))
+    n = formula.num_vars
+    lits, starts = _pack(formula)
     state = array("I", rng_state)
     if state.itemsize != 4 or len(state) != 625:
         raise ValueError("expected 625 32-bit Mersenne Twister words")
     best = array("i", [0]) * n
     out = array("q", [0] * 4)
     status = fn(
-        n, len(clauses), lits.buffer_info()[0], starts.buffer_info()[0],
+        n, formula.num_clauses, lits.buffer_info()[0], starts.buffer_info()[0],
         state.buffer_info()[0], rule, float(params.t0), float(params.alpha),
         params.m_steps, params.mni, best.buffer_info()[0], out.buffer_info()[0],
     )

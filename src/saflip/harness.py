@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import _kernel, cnf, plots
+from . import _kernel, cnf
 from .annealing import SolverParams, run_sa_flip
 from .ber import (
     ResultMatrix,
@@ -308,7 +308,7 @@ def _check_outcome(formula, outcome):
             f"best assignment has {len(values)} values for {formula.num_vars} variables"
         )
     true = {i if b else -i for i, b in enumerate(values, 1)}
-    unsat = sum(true.isdisjoint(c) for c in formula.clauses)
+    unsat = sum(map(true.isdisjoint, formula.clauses))
     if unsat / formula.num_clauses != outcome.best_score:
         raise ValueError(
             f"best_score {outcome.best_score!r} but the best assignment leaves "
@@ -330,12 +330,17 @@ def _key(rec):
 
 def _records(cells, jobs):
     """The record of each cell, in order; `jobs` > 1 runs them in a pool of
-    that many processes, or of one per cell where there are fewer cells."""
+    that many processes, or of one per cell where there are fewer cells.
+    The pool takes the cells in chunks of about a quarter of each worker's
+    share, so a worker pays one round trip, and one pickle of a formula,
+    per chunk rather than per cell, and the chunks still balance the load."""
     if jobs > 1 and cells:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            yield from pool.map(_run_cell, cells)
+        workers = min(jobs, len(cells))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_run_cell, cells,
+                                chunksize=max(1, len(cells) // (4 * workers)))
     else:
         yield from map(_run_cell, cells)
 
@@ -460,6 +465,8 @@ def _group_means(matrix):
 
 def _write_plot_outputs(pair, plot_dir):
     """ECDF and histogram plots per group of the (label, matrix) pair."""
+    from . import plots
+
     cells = [(label, _group_cells(m)) for label, m in pair]
     for group in cells[0][1]:
         series = {label: by_group[group] for label, by_group in cells}

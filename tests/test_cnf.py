@@ -35,6 +35,13 @@ class TestParse:
         f = parse_dimacs("p cnf 2 1\n1 -2 0\n%\n0\n")
         assert f.num_clauses == 1
 
+    def test_lone_zero_after_footer_of_short_file_is_not_a_clause(self):
+        # The `0` after `%` is footer, so the fault is the short clause list
+        # the header declares, not an empty clause on line 5.
+        with pytest.raises(DimacsError) as info:
+            parse_dimacs("p cnf 3 3\n1 0\n2 0\n%\n0\n")
+        assert str(info.value) == "line 1: clause count mismatch: header declares 3, found 2"
+
     def test_fixture_uf50_shape(self):
         path = DATA_DIR / "genuf50-01.cnf"
         f = parse_dimacs(path.read_text(), source_id=path.stem)

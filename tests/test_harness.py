@@ -339,7 +339,7 @@ class TestExecute:
     def test_pool_is_no_larger_than_the_work(self, tmp_path, monkeypatch):
         import concurrent.futures
 
-        sizes = []
+        sizes, chunks = [], []
 
         class RecordingPool:  # runs the cells in this process
             def __init__(self, max_workers):
@@ -351,7 +351,9 @@ class TestExecute:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, cells):
+            def map(self, fn, cells, chunksize=1):
+                cells = list(cells)
+                chunks.append((len(cells), chunksize))
                 return map(fn, cells)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
@@ -360,6 +362,15 @@ class TestExecute:
         pooled, _ = execute(plan, jobs=32)
         assert pooled == serial
         assert sizes == [2 * 1 * 2]  # instances * runs * algorithms
+        assert chunks == [(4, 1)]  # too few cells to chunk
+
+        plan = toy_plan(tmp_path / "larger", per_group=2, n_runs=4)
+        serial, _ = execute(plan)
+        pooled, _ = execute(plan, jobs=2)
+        assert pooled == serial
+        assert sizes[1:] == [2]
+        cells = 4 * 4 * 2
+        assert chunks[1:] == [(cells, cells // (4 * 2))]  # a quarter of each worker's share
 
     def test_unbuildable_kernel_fails_before_any_cell(self, tmp_path, kernel_cache,
                                                       monkeypatch):
@@ -403,15 +414,23 @@ class TestExecute:
         with pytest.raises(ValueError):
             execute(plan, algorithms=("sa", "nope"))
 
+    @pytest.mark.parametrize("jobs", [
+        1,
+        pytest.param(2, marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork",
+            reason="workers see the patched solver only when forked")),
+    ])
     @pytest.mark.parametrize("truncate", [False, True])
-    def test_wrong_outcome_is_a_failed_cell(self, tmp_path, monkeypatch, truncate):
-        plan = toy_plan(tmp_path, per_group=1, n_runs=2)
+    def test_wrong_outcome_is_a_failed_cell(self, tmp_path, monkeypatch, truncate, jobs):
+        # 32 cells: at jobs=2 the pool takes them in chunks of 4, and the
+        # lying cell, the third, sits inside the first chunk.
+        plan = toy_plan(tmp_path, per_group=2, n_runs=4)
         solver = harness.ALGORITHMS["sa"]
-        calls = []
+        first = plan.instances[0].instance_id
+        lie_seed = plan.seed_matrix()[0][1]
 
         def lying(formula, params):
-            calls.append(params.seed)
-            if len(calls) > 1:
+            if params.seed != lie_seed:
                 return solver(formula, params)
             # Falsify the first clause, then claim the formula solved.
             values = [1] * formula.num_vars
@@ -423,14 +442,14 @@ class TestExecute:
 
         monkeypatch.setitem(harness.ALGORITHMS, "sa", lying)
         journal = tmp_path / "journal.jsonl"
-        matrices, failed = execute(plan, journal_path=journal)
-        first = plan.instances[0].instance_id
-        assert failed == [(first, 0)]
-        assert matrices["sa"].num_runs == 1
-        errors = [json.loads(line) for line in journal.read_text().splitlines()
-                  if "error" in line]
-        assert errors == [{"algorithm": "sa", "instance_id": first, "run_index": 0,
-                           "seed": plan.seed_matrix()[0][0], "error": errors[0]["error"]}]
+        matrices, failed = execute(plan, jobs=jobs, journal_path=journal)
+        assert failed == [(first, 1)]
+        assert matrices["sa"].num_runs == 3
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
+        assert len(records) == 32
+        errors = [rec for rec in records if "error" in rec]
+        assert errors == [{"algorithm": "sa", "instance_id": first, "run_index": 1,
+                           "seed": lie_seed, "error": errors[0]["error"]}]
         assert list(errors[0]) == ["algorithm", "instance_id", "run_index", "seed", "error"]
 
 

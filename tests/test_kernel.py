@@ -118,6 +118,21 @@ def test_mixed_width_formulas_match_reference(kernel):
     assert tautologies > 100 and unsolved > 100
 
 
+def test_packed_arrays_are_built_once_per_formula_and_dropped_with_it(kernel):
+    formula = random_3cnf(15, 64, random.Random(3))
+    params = SolverParams(**PINNED, seed=1)
+    first = result(run_sa_flip, formula, params)
+    lits, starts = _kernel._pack(formula)
+    assert all(a is b for a, b in zip(_kernel._pack(formula), (lits, starts)))
+    assert list(starts) == list(range(0, 3 * 64 + 1, 3))
+    assert result(run_sa_flip, formula, params) == first
+    copy = CnfFormula(formula.num_vars, formula.clauses)
+    assert result(run_sa_flip, copy, params) == first
+    key = id(formula)
+    del formula
+    assert key not in _kernel._packed
+
+
 def test_missing_compiler_raises_naming_it(kernel_cache, monkeypatch):
     monkeypatch.setattr(_kernel, "_compiler", lambda: ["/nonexistent/cc"])
     with pytest.raises(RuntimeError, match="/nonexistent/cc"):

@@ -465,7 +465,7 @@ def _group_means(matrix):
 
 def _write_plot_outputs(pair, plot_dir):
     """ECDF and histogram plots per group of the (label, matrix) pair."""
-    from . import plots
+    from . import plots  # here, not at the top: `tune`, `fetch` and `ber` draw none
 
     cells = [(label, _group_cells(m)) for label, m in pair]
     for group in cells[0][1]:

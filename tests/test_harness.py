@@ -270,6 +270,11 @@ def toy_plan(tmp_path, per_group=1, n_runs=3, master_seed=11):
     )
 
 
+# Forked workers inherit the parent's loaded kernel and patched solvers.
+FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                               reason="pool workers inherit the parent only when forked")
+
+
 class TestExecute:
     def test_shapes_and_seed_pairing(self, tmp_path):
         plan = toy_plan(tmp_path, per_group=1, n_runs=3)
@@ -329,8 +334,7 @@ class TestExecute:
         assert records("serial.jsonl") == records("parallel.jsonl")
         assert len(records("serial.jsonl")) == 2 * 2 * 2
 
-    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                        reason="workers inherit the kernel only when forked")
+    @FORK_ONLY
     def test_parallel_run_builds_the_kernel_once(self, tmp_path, kernel_cache):
         execute(toy_plan(tmp_path, per_group=2, n_runs=2), jobs=2)
         assert kernel_cache() == 1
@@ -414,13 +418,12 @@ class TestExecute:
         with pytest.raises(ValueError):
             execute(plan, algorithms=("sa", "nope"))
 
-    @pytest.mark.parametrize("jobs", [
-        1,
-        pytest.param(2, marks=pytest.mark.skipif(
-            multiprocessing.get_start_method() != "fork",
-            reason="workers see the patched solver only when forked")),
+    @pytest.mark.parametrize("truncate, jobs", [
+        pytest.param(False, 1, id="False"),
+        pytest.param(True, 1, id="True"),
+        pytest.param(False, 2, id="False-jobs2", marks=FORK_ONLY),
+        pytest.param(True, 2, id="True-jobs2", marks=FORK_ONLY),
     ])
-    @pytest.mark.parametrize("truncate", [False, True])
     def test_wrong_outcome_is_a_failed_cell(self, tmp_path, monkeypatch, truncate, jobs):
         # 32 cells: at jobs=2 the pool takes them in chunks of 4, and the
         # lying cell, the third, sits inside the first chunk.

@@ -25,21 +25,20 @@ typedef struct {
 
 static uint32_t genrand_uint32(Rng *r)
 {
-    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
     uint32_t *mt = r->mt;
     uint32_t y;
     if (r->index >= MT_N) {
         int kk;
         for (kk = 0; kk < MT_N - MT_M; kk++) {
             y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ (-(y & 1U) & 0x9908b0dfU);
         }
         for (; kk < MT_N - 1; kk++) {
             y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ (-(y & 1U) & 0x9908b0dfU);
         }
         y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
-        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ (-(y & 1U) & 0x9908b0dfU);
         r->index = 0;
     }
     y = mt[r->index++];
@@ -56,13 +55,20 @@ static double random_double(Rng *r)
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
+/* int.bit_length of 0 < n < 2**31. */
+static int bit_length(int n)
+{
+    int k = 0;
+    while ((n >> k) != 0)
+        k++;
+    return k;
+}
+
 /* Random._randbelow_with_getrandbits: a draw in [0, n) for 0 < n < 2**31. */
 static int randbelow(Rng *r, int n)
 {
-    int k = 0;
+    int k = bit_length(n);
     uint32_t v;
-    while ((n >> k) != 0)
-        k++;
     do
         v = genrand_uint32(r) >> (32 - k);
     while (v >= (uint32_t)n);
@@ -86,8 +92,12 @@ typedef struct {
  * -1 for a true literal that is its clause's only one.  tx[c] is the XOR of
  * the variables of clause c's true literals, one term per occurrence, so
  * when sat_counts[c] == 1 it names the one variable that would break c.
- * values (n), score (n), sat_counts (m) and tx (m) are, in that order, one
- * block of 2(n + m) ints that starts at values. */
+ * values (n), a sink (1), score (n), sat_counts (m) and tx (m) are, in that
+ * order, one block of 2(n + m) + 1 ints that starts at values.  The sink is
+ * score[-1]: apply_flip writes to score[(tx[c] & mask) - 1] on every
+ * occurrence, with the mask 0 where the write does not apply, which spares
+ * it a branch that mispredicts.  Masking matters: where sat_counts[c] >= 2,
+ * tx[c] is the XOR of several variables and may exceed n. */
 typedef struct {
     int *values; /* values[v - 1] of variable v, 0 or 1 */
     int *score;
@@ -98,7 +108,8 @@ typedef struct {
 
 static void copy_state(const Formula *f, State *dst, const State *src)
 {
-    memcpy(dst->values, src->values, 2 * ((size_t)f->n + f->m) * sizeof(int));
+    memcpy(dst->values, src->values, (2 * ((size_t)f->n + f->m) + 1) * sizeof(int));
+    dst->score[-1] = 0; /* the sink: reset, so that a long run cannot overflow it */
     dst->unsat = src->unsat;
 }
 
@@ -112,7 +123,8 @@ static void add_to_clause(const Formula *f, State *s, int c, int d)
 
 /* EvalState.apply_flip, one occurrence at a time, with the scores and tx
  * updated for each occurrence's change of sat_counts[c] to k.  Slot t holds
- * v's true literal and slot t ^ 1 its false one. */
+ * v's true literal and slot t ^ 1 its false one.  The k == 1 and k == 2
+ * updates always write, to the sink unless they apply (see State). */
 static void apply_flip(const Formula *f, State *s, int v)
 {
     int t = 2 * v + !s->values[v - 1], i;
@@ -123,9 +135,9 @@ static void apply_flip(const Formula *f, State *s, int v)
             s->unsat++;
             add_to_clause(f, s, c, 1);
             s->score[v - 1]++;
-        } else if (k == 1) { /* the one true literal left now breaks c */
-            s->score[s->tx[c] - 1]--;
         }
+        /* k == 1: the one true literal left now breaks c */
+        s->score[(s->tx[c] & -(k == 1)) - 1]--;
     }
     t ^= 1;
     for (i = f->occ_start[t]; i < f->occ_start[t + 1]; i++) {
@@ -134,24 +146,36 @@ static void apply_flip(const Formula *f, State *s, int v)
             s->unsat--;
             add_to_clause(f, s, c, -1);
             s->score[v - 1]--;
-        } else if (k == 2) { /* the other true literal no longer breaks c alone */
-            s->score[s->tx[c] - 1]++;
         }
+        /* k == 2: the other true literal no longer breaks c alone */
+        s->score[(s->tx[c] & -(k == 2)) - 1]++;
         s->tx[c] ^= v;
     }
     s->values[v - 1] ^= 1;
 }
 
-/* saflip.flip.flip: one shuffled order, passes until one improves nothing. */
+/* saflip.flip.flip: one shuffled order, passes until one improves nothing.
+ * The shuffle makes random.shuffle's draws, randbelow(i + 1) for i from
+ * n - 1 down, with no branch on a draw: each turn of its loop is one try of
+ * randbelow's rejection loop, and a rejected try swaps perm[i] with itself
+ * and keeps i.  k = bit_length(i + 1) is kept across the loop: it falls by
+ * one where i + 1 drops below a power of two. */
 static void flip(const Formula *f, State *s, Rng *r, int *perm)
 {
-    int i, improvement = 1;
+    int i, k = bit_length(f->n), improvement = 1;
     for (i = 0; i < f->n; i++)
         perm[i] = i + 1;
-    for (i = f->n - 1; i > 0; i--) {
-        int j = randbelow(r, i + 1), tmp = perm[i];
+    i = f->n - 1;
+    while (i > 0) {
+        int v, j, tmp, accepted;
+        k -= (i + 1) >> (k - 1) == 0;
+        v = (int)(genrand_uint32(r) >> (32 - k));
+        accepted = v <= i;
+        j = accepted ? v : i;
+        tmp = perm[i];
         perm[i] = perm[j];
         perm[j] = tmp;
+        i -= accepted;
     }
     while (improvement > 0) {
         improvement = 0;
@@ -197,7 +221,7 @@ int saflip_run(int n, int m, const int *lits, const int *starts,
     State bufs[2], *state = &bufs[0], *neighbor = &bufs[1];
     int64_t flip_calls = 1, k = 0, step;
     int best_unsat = 0, min_unsat = 0, c, i, status = RUN_OK;
-    size_t slots = 2 * (size_t)n + 4, block = 2 * ((size_t)n + m);
+    size_t slots = 2 * (size_t)n + 4, block = 2 * ((size_t)n + m) + 1;
     /* occ_start (slots), occ (starts[m]), perm (n), then two zeroed State blocks. */
     int *occ_start = calloc(slots + starts[m] + n + 2 * block, sizeof(int)), *occ, *perm;
 
@@ -211,7 +235,7 @@ int saflip_run(int n, int m, const int *lits, const int *starts,
     perm = occ + starts[m];
     for (i = 0; i < 2; i++) {
         bufs[i].values = perm + n + i * block;
-        bufs[i].score = bufs[i].values + n;
+        bufs[i].score = bufs[i].values + n + 1;
         bufs[i].sat_counts = bufs[i].score + n;
         bufs[i].tx = bufs[i].sat_counts + m;
         bufs[i].unsat = 0;

@@ -218,6 +218,8 @@ def cmd_tune(args):
     from . import doe
 
     try:
+        if not 0 <= args.dead_band < math.inf:
+            raise ValueError(f"--dead-band must be a finite number >= 0, got {args.dead_band}")
         plan, _, out_dir = _load_plan(args)
         plan = dataclasses.replace(plan, n_runs=args.runs)
         if args.phase == "screen":

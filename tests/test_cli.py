@@ -441,6 +441,18 @@ class TestTune:
         assert code == 2
         assert "center_points must be >= 1" in err
 
+    @pytest.mark.parametrize("dead_band", ["-1", "nan", "inf"])
+    def test_bad_dead_band_exits_2_before_output(self, tmp_path, capsys, dead_band):
+        # With -1 or nan, |effect| <= dead band never holds: the walk would never stop there.
+        config = make_config(tmp_path)
+        code, out, err = run_cli(
+            capsys, "tune", "--config", str(config), "--phase", "rsm",
+            "--dead-band", dead_band, "--out", str(tmp_path / "tune"),
+        )
+        assert (code, out) == (2, "")
+        assert f"config error: --dead-band must be a finite number >= 0, got {float(dead_band)}" in err
+        assert not (tmp_path / "tune").exists()
+
     def test_missing_config_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
             capsys, "tune", "--config", str(tmp_path / "nope.json"),

@@ -1,6 +1,9 @@
 """The C run loop against the Python reference loop in `reference.py`."""
 
 import dataclasses
+import itertools
+import json
+import os
 import random
 import subprocess
 import time
@@ -94,10 +97,11 @@ def test_random_formulas_match_reference(kernel):
     assert raised[0] == 1
 
 
-def mixed_cnf(n, m, rng):
-    """m clauses of 1-5 distinct literals over n variables; x and -x may share one."""
+def mixed_cnf(n, m, rng, max_width=5):
+    """m clauses of 1 to max_width distinct literals over n variables; x and
+    -x may share one."""
     literals = [*range(1, n + 1), *range(-n, 0)]
-    return CnfFormula(n, tuple(tuple(rng.sample(literals, min(rng.randint(1, 5), 2 * n)))
+    return CnfFormula(n, tuple(tuple(rng.sample(literals, min(rng.randint(1, max_width), 2 * n)))
                                for _ in range(m)))
 
 
@@ -116,6 +120,94 @@ def test_mixed_width_formulas_match_reference(kernel):
             assert fast == reference_result(solver, formula, params), (i, solver.__name__)
             unsolved += not fast.solved
     assert tautologies > 100 and unsolved > 100
+
+
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129])
+def test_shuffle_at_powers_of_two_matches_reference(kernel, n):
+    """Flip's shuffle draws randbelow(i + 1) with the bit length of i + 1,
+    which the kernel tracks across the loop: it changes where i + 1 crosses
+    a power of two."""
+    rng = random.Random(n)
+    formula = mixed_cnf(n, 4 * n, rng)
+    unsolved = 0
+    for seed in range(2):
+        params = SolverParams(t0=1.0, alpha=0.9, m_steps=3, mni=2, seed=seed)
+        for solver in SOLVERS:
+            fast = result(solver, formula, params)
+            assert fast == reference_result(solver, formula, params), (seed, solver.__name__)
+            unsolved += not fast.solved
+    assert unsolved > 0 or n < 3
+
+
+def sanitizer_runtimes():
+    """The compiler's ASan and UBSan runtime libraries, or None when it
+    lacks either."""
+    paths = []
+    for name in ("libasan.so", "libubsan.so"):
+        proc = subprocess.run([*_kernel._compiler(), f"-print-file-name={name}"],
+                              capture_output=True, text=True, timeout=60)
+        path = proc.stdout.strip()
+        if proc.returncode or not os.path.isabs(path):  # a bare name: not found
+            return None
+        paths.append(path)
+    return paths
+
+
+def test_kernel_indexing_is_clean_under_sanitizers(kernel, tmp_path, monkeypatch):
+    """Both rules on few wide clauses, where tx[c] can exceed n, through a
+    kernel built with AddressSanitizer and UndefinedBehaviorSanitizer; the
+    sanitized build must also give the plain build's outcomes.  Every other
+    formula gets the clauses x1 and -x1, so its runs spend the whole budget
+    and reach the neighbour's state block, the last in the allocation."""
+    runtimes = sanitizer_runtimes()
+    if runtimes is None:
+        pytest.skip("the compiler has no ASan or UBSan runtime")
+    lib = tmp_path / "_kernel_sanitized.so"
+    proc = subprocess.run(
+        [*_kernel._compiler(), *_kernel.CFLAGS, "-fsanitize=address,undefined",
+         "-fno-sanitize-recover=all", "-o", str(lib), str(_kernel.SOURCE), "-lm"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+    rng = random.Random(1717)
+    cases, expected = [], []
+    for i in range(300):
+        formula = mixed_cnf(rng.randint(1, 70), rng.randint(1, 6), rng, max_width=9)
+        if i % 2:
+            formula = CnfFormula(formula.num_vars, formula.clauses + ((1,), (-1,)))
+        params = SolverParams(t0=10 ** rng.uniform(-3, 3), alpha=rng.uniform(0.01, 0.99),
+                              m_steps=rng.randint(1, 10), mni=rng.randint(1, 10),
+                              seed=rng.randrange(2**64))
+        for rule in (METROPOLIS, COIN):
+            cases.append([formula.num_vars, formula.clauses, dataclasses.asdict(params), rule])
+            expected.append(_kernel.run(kernel, formula, params,
+                                        random.Random(params.seed).getstate()[1], rule))
+    # Where just x and y of a clause are true, tx names x ^ y, which may exceed n.
+    assert any(abs(x) ^ abs(y) > n for n, clauses, _, _ in cases
+               for c in clauses for x, y in itertools.combinations(c, 2))
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(cases))
+    code = (
+        "import ctypes, json, random, sys\n"
+        "from pathlib import Path\n"
+        "from saflip import _kernel\n"
+        "from saflip.annealing import SolverParams\n"
+        "from saflip.cnf import CnfFormula\n"
+        "_kernel._library = lambda: ctypes.CDLL(sys.argv[1])\n"
+        "fn = _kernel.load()\n"
+        "out = []\n"
+        "for n, clauses, params, rule in json.loads(Path(sys.argv[2]).read_text()):\n"
+        "    params = SolverParams(**params)\n"
+        "    out.append(_kernel.run(fn, CnfFormula(n, tuple(map(tuple, clauses))), params,\n"
+        "                           random.Random(params.seed).getstate()[1], rule))\n"
+        "print(json.dumps(out))\n"
+    )
+    monkeypatch.setenv("LD_PRELOAD", " ".join(runtimes))
+    monkeypatch.setenv("ASAN_OPTIONS", "detect_leaks=0")
+    proc = run_python("-c", code, str(lib), str(grid), timeout=600)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert json.loads(proc.stdout) == json.loads(json.dumps(expected))
 
 
 def test_packed_arrays_are_built_once_per_formula_and_dropped_with_it(kernel):

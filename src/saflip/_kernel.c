@@ -5,7 +5,9 @@
  * The random stream is CPython's random.Random: MT19937 (`genrand_uint32`),
  * `random()` from two 32-bit words, `randrange(n)` as rejection sampling over
  * `getrandbits(n.bit_length())`, and `shuffle` from the last index down.  The
- * caller passes the 625 words of `Random(seed).getstate()`.  Floating point
+ * caller passes the run's 64-bit seed, and `seed_rng` seeds the generator as
+ * `Random(seed)` does: `init_by_array` over the seed's 32-bit words, least
+ * significant first, one word below 2**32 and two above.  Floating point
  * follows the Python expressions operation by operation and calls the same
  * libm `pow` and `exp`; build with -ffp-contract=off and without -ffast-math
  * so the compiler keeps that order.
@@ -47,6 +49,40 @@ static uint32_t genrand_uint32(Rng *r)
     y ^= (y << 15) & 0xefc60000U;
     y ^= (y >> 18);
     return y;
+}
+
+/* random_seed of CPython's _randommodule.c for an int seed: init_genrand(19650218),
+ * then init_by_array over the key. */
+static void seed_rng(Rng *r, uint64_t seed)
+{
+    uint32_t *mt = r->mt, key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
+    int key_length = key[1] ? 2 : 1, i, j = 0, k;
+
+    mt[0] = 19650218U;
+    for (i = 1; i < MT_N; i++)
+        mt[i] = 1812433253U * (mt[i - 1] ^ (mt[i - 1] >> 30)) + (uint32_t)i;
+    i = 1;
+    for (k = MT_N; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U)) + key[j] + (uint32_t)j;
+        i++;
+        j++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+        if (j >= key_length)
+            j = 0;
+    }
+    for (k = MT_N - 1; k; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U)) - (uint32_t)i;
+        i++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+    }
+    mt[0] = 0x80000000U;
+    r->index = MT_N;
 }
 
 static double random_double(Rng *r)
@@ -209,11 +245,11 @@ static int accept(int rule, Rng *r, double delta_y, double t)
 }
 
 /* One run of `_run_loop` under `rule` on the clauses in lits and starts (see
- * Formula).  On RUN_OK, best_values gets the best assignment and out gets
+ * Formula), its draws seeded from `seed` as by `Random(seed)`.  On RUN_OK, best_values gets the best assignment and out gets
  * the best and the minimum evaluated unsat counts, the Flip calls and the
  * completed temperature levels. */
 int saflip_run(int n, int m, const int *lits, const int *starts,
-               const uint32_t *rng_state, int rule, double t0, double alpha,
+               uint64_t seed, int rule, double t0, double alpha,
                int64_t m_steps, int64_t mni, int *best_values, int64_t *out)
 {
     Rng rng;
@@ -225,8 +261,7 @@ int saflip_run(int n, int m, const int *lits, const int *starts,
     /* occ_start (slots), occ (starts[m]), perm (n), then two zeroed State blocks. */
     int *occ_start = calloc(slots + starts[m] + n + 2 * block, sizeof(int)), *occ, *perm;
 
-    memcpy(rng.mt, rng_state, sizeof rng.mt);
-    rng.index = (int)rng_state[MT_N];
+    seed_rng(&rng, seed);
     if (!occ_start) {
         status = RUN_NO_MEMORY;
         goto done;

@@ -126,7 +126,7 @@ def load():
     fn = lib.saflip_run
     fn.argtypes = [
         ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_void_p, ctypes.c_int, ctypes.c_double, ctypes.c_double,
+        ctypes.c_uint64, ctypes.c_int, ctypes.c_double, ctypes.c_double,
         ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
     ]
     fn.restype = ctypes.c_int
@@ -154,24 +154,22 @@ def _pack(formula):
     return entry[1], entry[2]
 
 
-def run(fn, formula, params, rng_state, rule):
+def run(fn, formula, params, rule):
     """One run through the kernel function `fn` from `load()` under the
-    acceptance `rule` (`annealing.METROPOLIS` or `annealing.COIN`).
+    acceptance `rule` (`annealing.METROPOLIS` or `annealing.COIN`), its draws
+    seeded from `params.seed` as by `random.Random(params.seed)`.
 
-    `rng_state` is the 625-word `random.Random(...).getstate()[1]`.  Returns
-    (best values, best unsat count, minimum evaluated unsat count, Flip calls,
-    completed temperature levels).
+    Returns (best values, best unsat count, minimum evaluated unsat count,
+    Flip calls, completed temperature levels).  The call releases the GIL,
+    so runs in several threads go on side by side.
     """
     n = formula.num_vars
     lits, starts = _pack(formula)
-    state = array("I", rng_state)
-    if state.itemsize != 4 or len(state) != 625:
-        raise ValueError("expected 625 32-bit Mersenne Twister words")
     best = array("i", [0]) * n
     out = array("q", [0] * 4)
     status = fn(
         n, formula.num_clauses, lits.buffer_info()[0], starts.buffer_info()[0],
-        state.buffer_info()[0], rule, float(params.t0), float(params.alpha),
+        params.seed, rule, float(params.t0), float(params.alpha),
         params.m_steps, params.mni, best.buffer_info()[0], out.buffer_info()[0],
     )
     if status == _NONPOSITIVE_TEMPERATURE:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 
@@ -34,8 +33,10 @@ class SolverParams:
             value = getattr(self, name)
             if not isinstance(value, int) or not 1 <= value < 2**63:
                 raise ValueError(f"{name} must be an integer in [1, 2**63)")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+        # The seed reaches the kernel as a 64-bit unsigned integer, and seeds
+        # it as an int seeds `random.Random`; a float or a str would not.
+        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+            raise ValueError("seed must be an integer in [0, 2**64)")
 
     def flip_budget(self):
         return 1 + self.m_steps * self.mni
@@ -77,9 +78,7 @@ def _run_loop(formula, params, rule):
     """
     kernel = _kernel.load()  # loaded (or built) on the first call, before the clock
     start = time.perf_counter()
-    best, best_unsat, min_unsat, flip_calls, k = _kernel.run(
-        kernel, formula, params, random.Random(params.seed).getstate()[1], rule
-    )
+    best, best_unsat, min_unsat, flip_calls, k = _kernel.run(kernel, formula, params, rule)
     m = formula.num_clauses
     return RunOutcome(
         best_assignment=best,

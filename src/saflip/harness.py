@@ -280,8 +280,8 @@ class ExperimentPlan:
 
 def _run_cell(cell):
     """The journal record of one (algorithm, instance, run) cell: its result,
-    or the error that failed it.  The solver is looked up here, when the
-    cell runs, so a replaced ALGORITHMS entry reaches forked workers too."""
+    or the error that failed it.  The solver is looked up when the cell runs,
+    so a replaced ALGORITHMS entry reaches every cell."""
     algo, instance_id, run_index, formula, params = cell
     rec = {"algorithm": algo, "instance_id": instance_id, "run_index": run_index,
            "seed": params.seed}
@@ -329,18 +329,14 @@ def _key(rec):
 
 
 def _records(cells, jobs):
-    """The record of each cell, in order; `jobs` > 1 runs them in a pool of
-    that many processes, or of one per cell where there are fewer cells.
-    The pool takes the cells in chunks of about a quarter of each worker's
-    share, so a worker pays one round trip, and one pickle of a formula,
-    per chunk rather than per cell, and the chunks still balance the load."""
+    """The record of each cell, in order; `jobs` > 1 runs them on that many
+    threads, or on one per cell where there are fewer cells.  The kernel
+    call releases the GIL, so the threads' runs go on side by side."""
     if jobs > 1 and cells:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor
 
-        workers = min(jobs, len(cells))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_run_cell, cells,
-                                chunksize=max(1, len(cells) // (4 * workers)))
+        with ThreadPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
+            yield from pool.map(_run_cell, cells)
     else:
         yield from map(_run_cell, cells)
 
@@ -376,8 +372,8 @@ def execute(plan, algorithms=("sa", "placebo"), jobs=1, journal_path=None,
         if (algo, inst.instance_id, j) not in done
     ]
     # Load the C kernel once, before the first cell: a failed build raises
-    # here instead of failing (and recompiling in) every cell, and forked
-    # workers inherit the loaded library instead of racing to compile it.
+    # here instead of failing every cell, and the threads of `jobs` > 1
+    # share the loaded library instead of racing to compile it.
     _kernel.load()
     total = len(plan.instances) * plan.n_runs * len(algorithms)
     sink = open(journal_path, "a") if journal_path else contextlib.nullcontext()

@@ -82,6 +82,13 @@ class TestSolverParams:
         with pytest.raises(ValueError):
             SolverParams(**kwargs)
 
+    @pytest.mark.parametrize("seed", [1.5, 7.0, "7"])
+    def test_non_integer_seed_rejected(self, seed):
+        # random.Random seeds 1.5 from its hash and "7" from its sha512,
+        # streams that neither 1 nor 7 gives; the kernel takes an int only.
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SolverParams(seed=seed)
+
 
 class TestRunOutcome:
     @pytest.mark.parametrize("solved, score", [(True, 0.5), (False, 0.0)])

@@ -1,8 +1,9 @@
 import json
-import multiprocessing
 import random
 import shutil
+import sys
 import tarfile
+import threading
 
 import pytest
 
@@ -20,7 +21,7 @@ from saflip.harness import (
     summarize,
 )
 
-from conftest import DATA_DIR, random_3cnf
+from conftest import DATA_DIR, random_3cnf, run_python
 
 
 def write_toy_instances(path, per_group, groups=(6, 8), m_per_var=4, seed=0):
@@ -270,11 +271,6 @@ def toy_plan(tmp_path, per_group=1, n_runs=3, master_seed=11):
     )
 
 
-# Forked workers inherit the parent's loaded kernel and patched solvers.
-FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                               reason="pool workers inherit the parent only when forked")
-
-
 class TestExecute:
     def test_shapes_and_seed_pairing(self, tmp_path):
         plan = toy_plan(tmp_path, per_group=1, n_runs=3)
@@ -334,18 +330,62 @@ class TestExecute:
         assert records("serial.jsonl") == records("parallel.jsonl")
         assert len(records("serial.jsonl")) == 2 * 2 * 2
 
-    @FORK_ONLY
     def test_parallel_run_builds_the_kernel_once(self, tmp_path, kernel_cache):
         execute(toy_plan(tmp_path, per_group=2, n_runs=2), jobs=2)
         assert kernel_cache() == 1
         assert len(list(_kernel.CACHE_DIR.glob("_kernel.*.so"))) == 1
 
+    def test_parallel_cells_run_side_by_side_and_keep_their_order(self, tmp_path,
+                                                                  monkeypatch):
+        # Cell 0 finishes only once cell 1 has run, so jobs=2 must run them
+        # at the same time, and still journal cell 0 first.
+        plan = toy_plan(tmp_path, per_group=1, n_runs=3)
+        serial = tmp_path / "serial.jsonl"
+        execute(plan, algorithms=("sa",), journal_path=serial)
+        solver = harness.ALGORITHMS["sa"]
+        seeds = plan.seed_matrix()[0]
+        cell1_ran = threading.Event()
+
+        def cell0_waits_for_cell1(formula, params):
+            # A timeout fails cell 0, and its error record fails the test.
+            if params.seed == seeds[0] and not cell1_ran.wait(timeout=10):
+                raise TimeoutError("cell 1 did not run while cell 0 waited")
+            out = solver(formula, params)
+            if params.seed == seeds[1]:
+                cell1_ran.set()
+            return out
+
+        monkeypatch.setitem(harness.ALGORITHMS, "sa", cell0_waits_for_cell1)
+        parallel = tmp_path / "parallel.jsonl"
+        execute(plan, algorithms=("sa",), jobs=2, journal_path=parallel)
+
+        def records(path):  # (key, value) lists, so key order counts
+            return [[(k, v) for k, v in json.loads(line).items() if k != "wall_time"]
+                    for line in path.read_text().splitlines()]
+
+        assert records(parallel) == records(serial)
+        assert len(records(serial)) == 2 * 3
+
+    def test_many_threads_give_the_serial_results(self, tmp_path):
+        # More threads than cores, switching often: a run that read another
+        # thread's arrays or state would change a score or a seed.
+        plan = toy_plan(tmp_path, per_group=3, n_runs=4)
+        serial, _ = execute(plan)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded, failed = execute(plan, jobs=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failed == []
+        assert threaded == serial
+
     def test_pool_is_no_larger_than_the_work(self, tmp_path, monkeypatch):
         import concurrent.futures
 
-        sizes, chunks = [], []
+        sizes = []
 
-        class RecordingPool:  # runs the cells in this process
+        class RecordingPool:  # runs the cells in this thread
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
@@ -355,26 +395,39 @@ class TestExecute:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, cells, chunksize=1):
-                cells = list(cells)
-                chunks.append((len(cells), chunksize))
+            def map(self, fn, cells):
                 return map(fn, cells)
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         plan = toy_plan(tmp_path, per_group=1, n_runs=1)
         serial, _ = execute(plan)
         pooled, _ = execute(plan, jobs=32)
         assert pooled == serial
         assert sizes == [2 * 1 * 2]  # instances * runs * algorithms
-        assert chunks == [(4, 1)]  # too few cells to chunk
 
         plan = toy_plan(tmp_path / "larger", per_group=2, n_runs=4)
         serial, _ = execute(plan)
         pooled, _ = execute(plan, jobs=2)
         assert pooled == serial
         assert sizes[1:] == [2]
-        cells = 4 * 4 * 2
-        assert chunks[1:] == [(cells, cells // (4 * 2))]  # a quarter of each worker's share
+
+    def test_parallel_run_starts_no_process(self, tmp_path):
+        toy = write_toy_instances(tmp_path / "toy", per_group=1)
+        code = (
+            "import json, sys\n"
+            "from pathlib import Path\n"
+            "from saflip import _kernel\n"
+            "from saflip.harness import ExperimentPlan, execute, ingest_benchmarks\n"
+            "_kernel.CACHE_DIR = Path(sys.argv[2])\n"
+            "bset = ingest_benchmarks(sys.argv[1], validate_phase_transition=False)\n"
+            "matrices, failed = execute(ExperimentPlan(bset.instances, n_runs=2), jobs=2)\n"
+            "print(json.dumps([failed, matrices['sa'].num_runs, sorted(\n"
+            "    {'multiprocessing', 'concurrent.futures.process', 'concurrent.futures.thread'}\n"
+            "    & sys.modules.keys())]))\n"
+        )
+        proc = run_python("-c", code, str(toy), str(_kernel.CACHE_DIR), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[], 2, ["concurrent.futures.thread"]]
 
     def test_unbuildable_kernel_fails_before_any_cell(self, tmp_path, kernel_cache,
                                                       monkeypatch):
@@ -421,12 +474,10 @@ class TestExecute:
     @pytest.mark.parametrize("truncate, jobs", [
         pytest.param(False, 1, id="False"),
         pytest.param(True, 1, id="True"),
-        pytest.param(False, 2, id="False-jobs2", marks=FORK_ONLY),
-        pytest.param(True, 2, id="True-jobs2", marks=FORK_ONLY),
+        pytest.param(False, 2, id="False-jobs2"),
+        pytest.param(True, 2, id="True-jobs2"),
     ])
     def test_wrong_outcome_is_a_failed_cell(self, tmp_path, monkeypatch, truncate, jobs):
-        # 32 cells: at jobs=2 the pool takes them in chunks of 4, and the
-        # lying cell, the third, sits inside the first chunk.
         plan = toy_plan(tmp_path, per_group=2, n_runs=4)
         solver = harness.ALGORITHMS["sa"]
         first = plan.instances[0].instance_id

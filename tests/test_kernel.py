@@ -139,6 +139,21 @@ def test_shuffle_at_powers_of_two_matches_reference(kernel, n):
     assert unsolved > 0 or n < 3
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+def test_seeding_at_key_length_edges_matches_reference(kernel, seed):
+    """The kernel seeds MT19937 as `random.Random(seed)` does, from one
+    32-bit key word below 2**32 and from two at and above it.  The runs
+    spend their whole budget, so every draw of the stream is compared."""
+    rng = random.Random(seed % 1000)
+    formula = mixed_cnf(40, 160, rng)
+    formula = CnfFormula(formula.num_vars, formula.clauses + ((1,), (-1,)))
+    params = SolverParams(t0=1.0, alpha=0.9, m_steps=4, mni=3, seed=seed)
+    for solver in SOLVERS:
+        fast = result(solver, formula, params)
+        assert fast == reference_result(solver, formula, params), solver.__name__
+        assert fast.flip_calls == params.flip_budget()
+
+
 def sanitizer_runtimes():
     """The compiler's ASan and UBSan runtime libraries, or None when it
     lacks either."""
@@ -181,15 +196,14 @@ def test_kernel_indexing_is_clean_under_sanitizers(kernel, tmp_path, monkeypatch
                               seed=rng.randrange(2**64))
         for rule in (METROPOLIS, COIN):
             cases.append([formula.num_vars, formula.clauses, dataclasses.asdict(params), rule])
-            expected.append(_kernel.run(kernel, formula, params,
-                                        random.Random(params.seed).getstate()[1], rule))
+            expected.append(_kernel.run(kernel, formula, params, rule))
     # Where just x and y of a clause are true, tx names x ^ y, which may exceed n.
     assert any(abs(x) ^ abs(y) > n for n, clauses, _, _ in cases
                for c in clauses for x, y in itertools.combinations(c, 2))
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps(cases))
     code = (
-        "import ctypes, json, random, sys\n"
+        "import ctypes, json, sys\n"
         "from pathlib import Path\n"
         "from saflip import _kernel\n"
         "from saflip.annealing import SolverParams\n"
@@ -199,8 +213,7 @@ def test_kernel_indexing_is_clean_under_sanitizers(kernel, tmp_path, monkeypatch
         "out = []\n"
         "for n, clauses, params, rule in json.loads(Path(sys.argv[2]).read_text()):\n"
         "    params = SolverParams(**params)\n"
-        "    out.append(_kernel.run(fn, CnfFormula(n, tuple(map(tuple, clauses))), params,\n"
-        "                           random.Random(params.seed).getstate()[1], rule))\n"
+        "    out.append(_kernel.run(fn, CnfFormula(n, tuple(map(tuple, clauses))), params, rule))\n"
         "print(json.dumps(out))\n"
     )
     monkeypatch.setenv("LD_PRELOAD", " ".join(runtimes))

@@ -245,9 +245,10 @@ static int accept(int rule, Rng *r, double delta_y, double t)
 }
 
 /* One run of `_run_loop` under `rule` on the clauses in lits and starts (see
- * Formula), its draws seeded from `seed` as by `Random(seed)`.  On RUN_OK, best_values gets the best assignment and out gets
- * the best and the minimum evaluated unsat counts, the Flip calls and the
- * completed temperature levels. */
+ * Formula), its draws seeded from `seed` as by `Random(seed)`.  On RUN_OK,
+ * best_values gets the best assignment and out gets the best and the minimum
+ * evaluated unsat counts, the Flip calls and the completed temperature
+ * levels. */
 int saflip_run(int n, int m, const int *lits, const int *starts,
                uint64_t seed, int rule, double t0, double alpha,
                int64_t m_steps, int64_t mni, int *best_values, int64_t *out)

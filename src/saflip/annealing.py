@@ -33,8 +33,9 @@ class SolverParams:
             value = getattr(self, name)
             if not isinstance(value, int) or not 1 <= value < 2**63:
                 raise ValueError(f"{name} must be an integer in [1, 2**63)")
-        # The seed reaches the kernel as a 64-bit unsigned integer, and seeds
-        # it as an int seeds `random.Random`; a float or a str would not.
+        # The kernel takes the seed as a uint64 and seeds its generator as
+        # `random.Random` does from an int; Random seeds a float or a str
+        # from its hash or its sha512, which the kernel does not.
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an integer in [0, 2**64)")
 

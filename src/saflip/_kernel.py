@@ -40,13 +40,18 @@ def _compiler():
 
 
 def _build(dest):
-    """Compile `SOURCE` into the shared library `dest`; returns `dest`."""
+    """Compile `SOURCE` into the shared library `dest`; returns `dest`.  A
+    compiler that fails or times out raises OSError with its message.  Only
+    a build imports `subprocess`."""
     import subprocess
 
-    subprocess.run(
-        [*_compiler(), *CFLAGS, "-o", str(dest), str(SOURCE), "-lm"],
-        check=True, capture_output=True, text=True, timeout=120,
-    )
+    try:
+        subprocess.run(
+            [*_compiler(), *CFLAGS, "-o", str(dest), str(SOURCE), "-lm"],
+            check=True, capture_output=True, text=True, timeout=120,
+        )
+    except subprocess.SubprocessError as exc:
+        raise OSError(exc.stderr.strip() if getattr(exc, "stderr", None) else exc) from exc
     return dest
 
 
@@ -116,13 +121,11 @@ def load():
     compiler's message when it cannot be built.  A failure is not cached, so
     callers load once, before their first run."""
     import ctypes
-    import subprocess
 
     try:
         lib = _library()
-    except (OSError, subprocess.SubprocessError) as exc:
-        reason = exc.stderr.strip() if getattr(exc, "stderr", None) else exc
-        raise RuntimeError(f"the C kernel cannot be built: {reason}") from exc
+    except OSError as exc:
+        raise RuntimeError(f"the C kernel cannot be built: {exc}") from exc
     fn = lib.saflip_run
     fn.argtypes = [
         ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p,

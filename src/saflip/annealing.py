@@ -39,9 +39,6 @@ class SolverParams:
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an integer in [0, 2**64)")
 
-    def flip_budget(self):
-        return 1 + self.m_steps * self.mni
-
 
 @dataclass(frozen=True)
 class RunOutcome:

@@ -167,20 +167,14 @@ def check_deltas(deltas):
     return checked
 
 
-def ber_pairwise(ym, y0, delta):
-    """BER over all within-instance ordered run pairs of two paired matrices.
-
-    b counts pairs where the first algorithm's score beats the second's by
-    more than delta, r the converse, and e the remainder (so boundary ties
-    land in e and the three counts sum to l*n^2 exactly).
-    """
-    check_delta(delta)
-    check_paired(ym, y0)
-    return _make_report(ym.scores, y0.scores, delta, "overall")
-
-
 def ber_grouped(ym, y0, delta):
-    """One BerReport per distinct group key (sorted) plus the overall one."""
+    """One BerReport per distinct group key (sorted), then the "overall" one.
+
+    Each counts every within-instance ordered run pair of its rows: b the
+    pairs where the first algorithm's score beats the second's by more than
+    delta, r the converse, and e the remainder, so boundary ties land in e
+    and the three counts over l rows of n runs sum to l*n^2 exactly.
+    """
     check_delta(delta)
     check_paired(ym, y0)
     return [

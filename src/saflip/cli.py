@@ -42,6 +42,11 @@ def _emit(doc):
     print(json.dumps(doc))
 
 
+def _write_manifest(bset, path):
+    """`manifest.json` of `fetch` and `run`: one entry per ingested instance."""
+    path.write_text(json.dumps(bset.manifest(), indent=2) + "\n")
+
+
 def cmd_fetch(args):
     cache = Path(args.cache_dir)
     cache.mkdir(parents=True, exist_ok=True)
@@ -77,13 +82,12 @@ def cmd_fetch(args):
             fetched.append(path)
     try:
         bset = harness.ingest_benchmarks(
-            fetched,
-            validate_phase_transition=not args.no_validate,
-            manifest_path=cache / "manifest.json",
+            fetched, validate_phase_transition=not args.no_validate
         )
     except ValueError as exc:
         _err(f"ingest failed: {exc}")
         return EXIT_USAGE
+    _write_manifest(bset, cache / "manifest.json")
     _err(f"ingested {len(bset.instances)} instances in groups {bset.groups()}")
     _emit({"manifest": str(cache / "manifest.json"), "groups": bset.groups()})
     return EXIT_OK
@@ -115,9 +119,7 @@ def cmd_run(args):
         return EXIT_USAGE
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "manifest.json").write_text(
-        json.dumps(bset.manifest(), indent=2) + "\n"
-    )
+    _write_manifest(bset, out_dir / "manifest.json")
     journal = out_dir / "journal.jsonl"
     if journal.exists() and not args.resume:
         journal.unlink()
@@ -223,7 +225,7 @@ def cmd_tune(args):
         plan, _, out_dir = _load_plan(args)
         plan = dataclasses.replace(plan, n_runs=args.runs)
         if args.phase == "screen":
-            design = doe.box_behnken_4(center_points=args.center_points)
+            design = doe.box_behnken_4()
         else:
             # The walk's first design must already lie inside the bounds.
             doe.fractional_factorial_2_4_1(plan.params)
@@ -252,7 +254,7 @@ def cmd_tune(args):
         effects = doe.estimate_effects(design, responses)
         doc = {
             "design": "box-behnken-4",
-            "center_points": args.center_points,
+            "center_points": doe.CENTER_POINTS,
             "seed_blocking": "common random numbers across rows",
             "response_aggregation": "mean over all instance runs "
             "(alternative: mean of per-instance means)",
@@ -336,7 +338,6 @@ def build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--phase", choices=("screen", "rsm"), required=True)
     p.add_argument("--runs", type=int, default=30, help="runs per instance per row")
-    p.add_argument("--center-points", type=int, default=3)
     p.add_argument("--budget-limit", type=int, default=5000)
     p.add_argument("--dead-band", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=None)

@@ -49,22 +49,25 @@ class DesignMatrix:
     decoded: tuple  # SolverParams per row (seed left at 0)
 
 
-def box_behnken_4(center_points=3):
-    """Four-factor Box-Behnken screening design.
+# All-medium rows of the screen.  `estimate_effects` leaves them out, and
+# under common random numbers each reruns the same cells.
+CENTER_POINTS = 3
+
+
+def box_behnken_4():
+    """Four-factor Box-Behnken screening design, 27 rows.
 
     For each of the 6 factor pairs, the four (+/-1, +/-1) combinations with
-    the remaining two factors at their medium level; plus `center_points`
-    all-medium rows.  27 rows with the default 3 center points.
+    the remaining two factors at their medium level; plus `CENTER_POINTS`
+    all-medium rows.
     """
-    if center_points < 1:
-        raise ValueError("center_points must be >= 1")
     rows = []
     for i, j in itertools.combinations(range(4), 2):
         for a, b in itertools.product((-1, 1), repeat=2):
             row = [0, 0, 0, 0]
             row[i], row[j] = a, b
             rows.append(tuple(row))
-    rows.extend([(0, 0, 0, 0)] * center_points)
+    rows.extend([(0, 0, 0, 0)] * CENTER_POINTS)
     decoded = tuple(
         SolverParams(**{
             name: f.value(f.levels[c + 1]) for (name, f), c in zip(FACTORS.items(), row)

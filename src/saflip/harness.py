@@ -179,7 +179,7 @@ def _parse(name, text, instance_id):
     return formula, digest, wrote
 
 
-def ingest_benchmarks(sources, validate_phase_transition=True, manifest_path=None):
+def ingest_benchmarks(sources, validate_phase_transition=True):
     """Parse and validate DIMACS files from one or more sources; each
     file's parse is cached by content (see `_parse`).
 
@@ -217,10 +217,7 @@ def ingest_benchmarks(sources, validate_phase_transition=True, manifest_path=Non
     if not collected:
         raise BenchmarkError(f"no .cnf instances found in {sources}")
     collected.sort(key=lambda inst: (inst.group, inst.instance_id))
-    bset = BenchmarkSet(collected)
-    if manifest_path:
-        Path(manifest_path).write_text(json.dumps(bset.manifest(), indent=2) + "\n")
-    return bset
+    return BenchmarkSet(collected)
 
 
 def split_train_test(benchmarks, master_seed):

@@ -15,7 +15,7 @@ import pytest
 
 from reference import accept
 from saflip.annealing import COIN, SolverParams, run_sa_flip
-from saflip.ber import ber_grouped, ber_pairwise, success_rate
+from saflip.ber import ber_grouped, success_rate
 from saflip.doe import box_behnken_4, estimate_effects, fractional_factorial_2_4_1
 from saflip.flip import flip
 from saflip.harness import ExperimentPlan, execute
@@ -77,7 +77,7 @@ def test_criterion_2_ber_degeneracy_n50(ceiling_results):
 
 
 def test_criterion_3_equivalence_dominance(desk_scale_results):
-    rep = ber_pairwise(desk_scale_results["sa"], desk_scale_results["placebo"], 0.0)
+    rep = ber_grouped(desk_scale_results["sa"], desk_scale_results["placebo"], 0.0)[-1]
     ok = rep.e >= 0.80 and max(rep.b, rep.r) <= 0.12
     report(3, ok, f"overall delta=0: b={rep.b:.4f} e={rep.e:.4f} r={rep.r:.4f}")
 
@@ -100,7 +100,7 @@ def test_criterion_5_ber_oracle_equivalence():
         ym = make_matrix([[rng.choice(pool) for _ in range(n)] for _ in range(l)])
         y0 = make_matrix([[rng.choice(pool) for _ in range(n)] for _ in range(l)])
         delta = rng.uniform(0, 0.5)
-        rep = ber_pairwise(ym, y0, delta)
+        rep = ber_grouped(ym, y0, delta)[-1]
         b, e, total = oracle_ber(ym.scores, y0.scores, delta)
         assert (rep.b_count, rep.e_count) == (b, e)
         assert rep.b_count + rep.e_count + rep.r_count == total
@@ -116,9 +116,9 @@ def test_criterion_6_monotonicity_and_antisymmetry():
         ym = make_matrix([[rng.random() for _ in range(n)] for _ in range(l)])
         y0 = make_matrix([[rng.random() for _ in range(n)] for _ in range(l)])
         d1, d2 = sorted((rng.uniform(0, 0.5), rng.uniform(0, 0.5)))
-        lo, hi = ber_pairwise(ym, y0, d1), ber_pairwise(ym, y0, d2)
+        lo, hi = ber_grouped(ym, y0, d1)[-1], ber_grouped(ym, y0, d2)[-1]
         assert hi.b <= lo.b and hi.r <= lo.r and hi.e >= lo.e
-        swapped = ber_pairwise(y0, ym, d1)
+        swapped = ber_grouped(y0, ym, d1)[-1]
         assert (swapped.b_count, swapped.r_count, swapped.e_count) == (
             lo.r_count, lo.b_count, lo.e_count,
         )
@@ -178,17 +178,18 @@ def test_criterion_9_budget_parity_and_acceptance_rate(fixture_benchmarks):
     from saflip.cnf import CnfFormula
 
     params = dataclasses.replace(PINNED_PARAMS, m_steps=5, mni=7, seed=99)
-    budget = params.flip_budget()
+    budget = 1 + params.m_steps * params.mni
     unsat = CnfFormula(1, ((1,), (-1,)))
     sa = run_sa_flip(unsat, params)
     pl = run_placebo_flip(unsat, params)
     inst = fixture_benchmarks.instances[0]
     sat_sa = run_sa_flip(inst.formula, dataclasses.replace(PINNED_PARAMS, seed=4))
     sat_pl = run_placebo_flip(inst.formula, dataclasses.replace(PINNED_PARAMS, seed=4))
+    pinned_budget = 1 + PINNED_PARAMS.m_steps * PINNED_PARAMS.mni
     budget_ok = (
         sa.flip_calls == pl.flip_calls == budget
-        and sat_sa.flip_calls <= PINNED_PARAMS.flip_budget()
-        and sat_pl.flip_calls <= PINNED_PARAMS.flip_budget()
+        and sat_sa.flip_calls <= pinned_budget
+        and sat_pl.flip_calls <= pinned_budget
     )
 
     rng = random.Random(909)
@@ -200,7 +201,7 @@ def test_criterion_9_budget_parity_and_acceptance_rate(fixture_benchmarks):
 
 
 def test_criterion_10_doe_correctness():
-    bb = box_behnken_4(center_points=3)
+    bb = box_behnken_4()
     bb_ok = (
         len(bb.coded_rows) == 27
         and sum(1 for r in bb.coded_rows if any(r)) == 24

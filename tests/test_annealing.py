@@ -61,7 +61,7 @@ class TestSolverParams:
     def test_defaults_are_pinned_tuned_settings(self):
         p = SolverParams()
         assert (p.t0, p.alpha, p.m_steps, p.mni) == (51.71, 0.92, 50, 103)
-        assert p.flip_budget() == 1 + 50 * 103 == 5151
+        assert 1 + p.m_steps * p.mni == 1 + 50 * 103 == 5151
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -139,7 +139,7 @@ class TestRunSaFlip:
         assert not out.solved
         assert out.best_score == 0.5
         # Unsatisfiable input exhausts the budget exactly.
-        assert out.flip_calls == params.flip_budget() == 1 + 7 * 9
+        assert out.flip_calls == 1 + params.m_steps * params.mni == 1 + 7 * 9
         assert out.iterations_completed == 9
 
     def test_budget_never_exceeded_on_random_instances(self):
@@ -149,7 +149,7 @@ class TestRunSaFlip:
             params = SolverParams(t0=5.0, alpha=0.8, m_steps=4, mni=6,
                                   seed=rng.randrange(2**63))
             out = run_sa_flip(f, params)
-            assert out.flip_calls <= params.flip_budget()
+            assert out.flip_calls <= 1 + params.m_steps * params.mni
 
     def test_geometric_schedule_is_exact(self):
         params = SolverParams(t0=51.71, alpha=0.92, m_steps=50, mni=103)

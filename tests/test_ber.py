@@ -10,7 +10,6 @@ from saflip.ber import (
     ResultMatrix,
     _count_rows,
     ber_grouped,
-    ber_pairwise,
     group_rows,
     read_result_csv,
     success_rate,
@@ -62,46 +61,46 @@ class TestPairwise:
         # Comparing a matrix against itself: the all-pairs count is
         # symmetric, so benefit and risk cancel exactly.
         m = make_matrix([[0.1, 0.2], [0.3, 0.4]])
-        rep = ber_pairwise(m, make_matrix([[0.1, 0.2], [0.3, 0.4]]), 0.0)
+        rep = ber_grouped(m, make_matrix([[0.1, 0.2], [0.3, 0.4]]), 0.0)[-1]
         assert rep.b == rep.r
         assert rep.b + rep.e + rep.r == pytest.approx(1.0)
 
     def test_identical_constant_matrices_are_degenerate(self):
         m = make_matrix([[0.0, 0.0], [0.0, 0.0]])
-        rep = ber_pairwise(m, make_matrix([[0.0, 0.0], [0.0, 0.0]]), 0.0)
+        rep = ber_grouped(m, make_matrix([[0.0, 0.0], [0.0, 0.0]]), 0.0)[-1]
         assert (rep.b, rep.e, rep.r) == (0.0, 1.0, 0.0)
 
     def test_enumerated_example_delta_zero(self):
         ym = make_matrix([[0.0, 0.2]])
         y0 = make_matrix([[0.1, 0.3]])
-        rep = ber_pairwise(ym, y0, 0.0)
+        rep = ber_grouped(ym, y0, 0.0)[-1]
         assert (rep.b, rep.e, rep.r) == (0.75, 0.0, 0.25)
 
     def test_enumerated_example_delta_band(self):
         ym = make_matrix([[0.0, 0.2]])
         y0 = make_matrix([[0.1, 0.3]])
-        rep = ber_pairwise(ym, y0, 0.15)
+        rep = ber_grouped(ym, y0, 0.15)[-1]
         assert (rep.b, rep.e, rep.r) == (0.25, 0.75, 0.0)
 
     def test_comparisons_within_rows_only(self):
         # Cross-instance pooling would see a benefit here; within-row does not.
         ym = make_matrix([[0.5], [0.0]])
         y0 = make_matrix([[0.5], [0.0]])
-        rep = ber_pairwise(ym, y0, 0.0)
+        rep = ber_grouped(ym, y0, 0.0)[-1]
         assert rep.e == 1.0
         assert rep.comparisons == 2
 
     def test_boundary_ties_land_in_e(self):
-        rep = ber_pairwise(make_matrix([[0.1]]), make_matrix([[0.2]]), 0.1)
+        rep = ber_grouped(make_matrix([[0.1]]), make_matrix([[0.2]]), 0.1)[-1]
         assert rep.e == 1.0
 
     def test_negative_delta_rejected(self):
         m = make_matrix([[0.1]])
         with pytest.raises(ValueError):
-            ber_pairwise(m, m, -0.1)
+            ber_grouped(m, m, -0.1)
 
     @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("ber", [ber_pairwise, ber_grouped])
+    @pytest.mark.parametrize("ber", [ber_grouped])
     def test_non_finite_delta_rejected(self, ber, delta):
         m = make_matrix([[0.1]])
         with pytest.raises(ValueError, match="finite and >= 0"):
@@ -111,17 +110,17 @@ class TestPairwise:
         a = make_matrix([[0.1, 0.2]])
         b = make_matrix([[0.1, 0.2]], seed_base=5)
         with pytest.raises(PairingError):
-            ber_pairwise(a, b, 0.0)
+            ber_grouped(a, b, 0.0)
         c = make_matrix([[0.1, 0.2, 0.3]])
         with pytest.raises(PairingError):
-            ber_pairwise(a, c, 0.0)
+            ber_grouped(a, c, 0.0)
 
     def test_matches_oracle_randomized(self):
         rng = random.Random(8)
         for _ in range(300):
             ym, y0 = random_pair(rng)
             delta = rng.choice([0.0, 0.01, 0.1, rng.random() * 0.5])
-            rep = ber_pairwise(ym, y0, delta)
+            rep = ber_grouped(ym, y0, delta)[-1]
             b, e, total = oracle_ber(ym.scores, y0.scores, delta)
             assert (rep.b_count, rep.e_count) == (b, e)
             assert rep.b_count + rep.e_count + rep.r_count == total == rep.comparisons
@@ -188,8 +187,8 @@ def paired_matrices(draw):
 def test_properties_simplex_monotone_antisymmetric(pair, d1, d2):
     ym, y0 = pair
     lo, hi = sorted((d1, d2))
-    rep_lo = ber_pairwise(ym, y0, lo)
-    rep_hi = ber_pairwise(ym, y0, hi)
+    rep_lo = ber_grouped(ym, y0, lo)[-1]
+    rep_hi = ber_grouped(ym, y0, hi)[-1]
     # Exact simplex identity in integer counts.
     for rep in (rep_lo, rep_hi):
         assert rep.b_count + rep.e_count + rep.r_count == rep.comparisons
@@ -198,7 +197,7 @@ def test_properties_simplex_monotone_antisymmetric(pair, d1, d2):
     assert rep_hi.r_count <= rep_lo.r_count
     assert rep_hi.e_count >= rep_lo.e_count
     # Swapping the matrices swaps b and r.
-    swapped = ber_pairwise(y0, ym, lo)
+    swapped = ber_grouped(y0, ym, lo)[-1]
     assert (swapped.b_count, swapped.r_count) == (rep_lo.r_count, rep_lo.b_count)
     assert swapped.e_count == rep_lo.e_count
 
@@ -235,7 +234,7 @@ def test_shift_property():
     delta = 0.2
     shift = 0.35  # > delta + max spread of ym
     y0_rows = [[y + shift for y in row] for row in ym_rows]
-    rep = ber_pairwise(make_matrix(ym_rows), make_matrix(y0_rows), delta)
+    rep = ber_grouped(make_matrix(ym_rows), make_matrix(y0_rows), delta)[-1]
     assert (rep.b, rep.e, rep.r) == (1.0, 0.0, 0.0)
 
 

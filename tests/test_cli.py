@@ -397,6 +397,7 @@ class TestTune:
         assert code == 0
         doc = json.loads((tmp_path / "tune" / "screening_effects.json").read_text())
         assert len(doc["rows"]) == 27
+        assert doc["center_points"] == 3
         assert set(doc["main_effects"]) == {"t0", "alpha", "m_steps", "mni"}
 
     def test_rsm_budget_stop(self, tmp_path, capsys):
@@ -431,15 +432,6 @@ class TestTune:
         assert "config error: decoded t0=" in err
         assert "outside validity bounds" in err
         assert not (tmp_path / "tune" / "rsm_trace.json").exists()
-
-    def test_zero_center_points_exits_2(self, tmp_path, capsys):
-        config = make_config(tmp_path)
-        code, _, err = run_cli(
-            capsys, "tune", "--config", str(config), "--phase", "screen",
-            "--runs", "1", "--center-points", "0", "--out", str(tmp_path / "tune"),
-        )
-        assert code == 2
-        assert "center_points must be >= 1" in err
 
     @pytest.mark.parametrize("dead_band", ["-1", "nan", "inf"])
     def test_bad_dead_band_exits_2_before_output(self, tmp_path, capsys, dead_band):
@@ -484,6 +476,19 @@ class TestFetch:
         assert code == 0
         manifest = json.loads(Path(json.loads(out)["manifest"]).read_text())
         assert [e["instance_id"] for e in manifest] == ["a"]
+
+    def test_fetch_and_run_write_the_same_manifest(self, tmp_path, capsys):
+        config = make_config(tmp_path, per_group=2)
+        code, out, _ = run_cli(
+            capsys, "fetch", str(tmp_path / "toy"), "--cache-dir", str(tmp_path / "cache"),
+            "--no-validate",
+        )
+        assert code == 0
+        fetched = Path(json.loads(out)["manifest"])
+        code, out, _ = run_cli(capsys, "run", "--config", str(config))
+        assert code == 0
+        assert Path(json.loads(out)["manifest"]).read_bytes() == fetched.read_bytes()
+        assert len(json.loads(fetched.read_text())) == 4
 
     def test_missing_source_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(

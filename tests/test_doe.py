@@ -17,7 +17,7 @@ START = SolverParams(t0=50.0, alpha=0.9, m_steps=20, mni=50)
 
 class TestBoxBehnken:
     def test_row_counts(self):
-        design = box_behnken_4(center_points=3)
+        design = box_behnken_4()
         assert len(design.coded_rows) == 27
         edge = [r for r in design.coded_rows if any(r)]
         center = [r for r in design.coded_rows if not any(r)]
@@ -29,12 +29,12 @@ class TestBoxBehnken:
             assert sum(1 for c in row if c != 0) <= 2
 
     def test_center_decode_default_levels(self):
-        design = box_behnken_4(center_points=1)
+        design = box_behnken_4()
         center_params = design.decoded[-1]
         assert center_params == SolverParams(t0=100.0, alpha=0.85, m_steps=10, mni=50)
 
     def test_relabeling_symmetry(self):
-        rows = box_behnken_4(center_points=1).coded_rows
+        rows = box_behnken_4().coded_rows
         base = Counter(rows)
         for perm in itertools.permutations(range(4)):
             permuted = Counter(tuple(row[i] for i in perm) for row in rows)
@@ -109,7 +109,7 @@ class TestEstimateEffects:
         assert report.intercept == pytest.approx(1.0)
 
     def test_center_rows_excluded(self):
-        design = box_behnken_4(center_points=3)
+        design = box_behnken_4()
         # Center rows carry an outlier response; contrasts must not see it.
         responses = [row[0] if any(row) else 99.0 for row in design.coded_rows]
         report = estimate_effects(design, responses)

@@ -60,10 +60,8 @@ class TestIngest:
         assert len(n50) >= 10
         assert all(i.formula.num_clauses == 218 for i in n50)
 
-    def test_manifest_written(self, tmp_path):
-        manifest = tmp_path / "manifest.json"
-        ingest_benchmarks(DATA_DIR, manifest_path=manifest)
-        entries = json.loads(manifest.read_text())
+    def test_manifest_written(self):
+        entries = ingest_benchmarks(DATA_DIR).manifest()
         assert {e["group"] for e in entries} == {50, 75, 100, 125}
         assert all({"digest", "n", "m", "instance_id"} <= set(e) for e in entries)
 
@@ -138,15 +136,15 @@ def one_fixture(tmp_path, name="genuf50-01.cnf"):
 
 
 class TestParseCache:
-    def test_warm_ingest_parses_nothing(self, cache_dir, parses, tmp_path):
-        cold = ingest_benchmarks(DATA_DIR, manifest_path=tmp_path / "cold.json")
+    def test_warm_ingest_parses_nothing(self, cache_dir, parses):
+        cold = ingest_benchmarks(DATA_DIR)
         assert len(parses) == len(cold.instances) == len(entries(cache_dir)) == 30
         parses.clear()
-        warm = ingest_benchmarks(DATA_DIR, manifest_path=tmp_path / "warm.json")
+        warm = ingest_benchmarks(DATA_DIR)
         assert parses == []
         assert [i.formula for i in warm.instances] == [i.formula for i in cold.instances]
         assert [i.digest for i in warm.instances] == [i.digest for i in cold.instances]
-        assert (tmp_path / "warm.json").read_bytes() == (tmp_path / "cold.json").read_bytes()
+        assert warm.manifest() == cold.manifest()
 
     @pytest.mark.parametrize("damage", [lambda data: b"garbage",
                                         lambda data: data[:len(data) // 2]],

@@ -151,7 +151,7 @@ def test_seeding_at_key_length_edges_matches_reference(kernel, seed):
     for solver in SOLVERS:
         fast = result(solver, formula, params)
         assert fast == reference_result(solver, formula, params), solver.__name__
-        assert fast.flip_calls == params.flip_budget()
+        assert fast.flip_calls == 1 + params.m_steps * params.mni
 
 
 def sanitizer_runtimes():
@@ -281,6 +281,22 @@ def test_fresh_process_loads_the_cached_library(kernel, kernel_cache):
     proc = run_python("-c", code, str(_kernel.CACHE_DIR), *_kernel._compiler())
     assert proc.returncode == 0, proc.stderr
     assert kernel_cache() == 1
+
+
+def test_warm_load_imports_no_subprocess(kernel, session_cache):
+    assert _kernel._cache_path().exists()
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "import saflip.cli\n"
+        "from saflip import _kernel\n"
+        "_kernel.CACHE_DIR = Path(sys.argv[1])\n"
+        "_kernel.load()\n"
+        "print('subprocess' in sys.modules)\n"
+    )
+    proc = run_python("-c", code, str(session_cache))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_edited_source_is_rebuilt_and_the_old_library_pruned(expected, kernel_cache, monkeypatch,

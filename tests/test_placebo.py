@@ -41,7 +41,7 @@ def test_budget_parity_with_annealer():
     sa = run_sa_flip(UNSAT_PAIR, params)
     pl = run_placebo_flip(UNSAT_PAIR, params)
     # Unsatisfiable input exhausts the identical budget on both sides.
-    assert sa.flip_calls == pl.flip_calls == params.flip_budget()
+    assert sa.flip_calls == pl.flip_calls == 1 + params.m_steps * params.mni
 
 
 def test_budget_bound_random_instances():
@@ -49,7 +49,8 @@ def test_budget_bound_random_instances():
     for _ in range(10):
         f = random_3cnf(20, 85, rng)
         params = SolverParams(m_steps=4, mni=6, seed=rng.randrange(2**63))
-        assert run_placebo_flip(f, params).flip_calls <= params.flip_budget()
+        budget = 1 + params.m_steps * params.mni
+        assert run_placebo_flip(f, params).flip_calls <= budget
 
 
 def test_acceptance_rate_is_half():

@@ -72,7 +72,7 @@ def main():
     certificates = {}
     for inst in ingest_benchmarks(FIXTURES).instances:
         clauses = inst.formula.clauses
-        true_lits = dpll([tuple(c) for c in clauses])
+        true_lits = dpll(clauses)
         if true_lits is None:
             sys.exit(f"{inst.instance_id} is unsatisfiable")
         true_vars = {lit for lit in true_lits if lit > 0}

@@ -243,13 +243,16 @@ def read_result_csv(path):
                     rows[iid] = {"group": group, "cells": {}}
                     order.append(iid)
                 cells = rows[iid]["cells"]
-                j = int(run_index)
+                try:
+                    j, cell = int(run_index), (int(seed), float(y))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
                 if j in cells:
                     raise ValueError(
                         f"{path}: line {reader.line_num}: duplicate run {j} "
                         f"of instance {iid!r}"
                     )
-                cells[j] = (int(seed), float(y))
+                cells[j] = cell
         except csv.Error as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     instance_ids, group_keys, seeds, scores = [], [], [], []

@@ -42,9 +42,9 @@ def _emit(doc):
     print(json.dumps(doc))
 
 
-def _write_manifest(bset, path):
+def _write_manifest(instances, path):
     """`manifest.json` of `fetch` and `run`: one entry per ingested instance."""
-    path.write_text(json.dumps(bset.manifest(), indent=2) + "\n")
+    path.write_text(json.dumps(harness.manifest(instances), indent=2) + "\n")
 
 
 def cmd_fetch(args):
@@ -81,31 +81,32 @@ def cmd_fetch(args):
                 return EXIT_USAGE
             fetched.append(path)
     try:
-        bset = harness.ingest_benchmarks(
+        instances = harness.ingest_benchmarks(
             fetched, validate_phase_transition=not args.no_validate
         )
     except ValueError as exc:
         _err(f"ingest failed: {exc}")
         return EXIT_USAGE
-    _write_manifest(bset, cache / "manifest.json")
-    _err(f"ingested {len(bset.instances)} instances in groups {bset.groups()}")
-    _emit({"manifest": str(cache / "manifest.json"), "groups": bset.groups()})
+    _write_manifest(instances, cache / "manifest.json")
+    groups = sorted({inst.group for inst in instances})
+    _err(f"ingested {len(instances)} instances in groups {groups}")
+    _emit({"manifest": str(cache / "manifest.json"), "groups": groups})
     return EXIT_OK
 
 
 def _load_plan(args):
-    """(plan, benchmark set, output directory) of the --config file, with
-    --seed and --out applied.  Also loads the C kernel, so that a kernel that
-    cannot be built is reported, as ValueError, before any output exists."""
+    """(plan, output directory) of the --config file, with --seed and --out
+    applied.  Also loads the C kernel, so that a kernel that cannot be built
+    is reported, as ValueError, before any output exists."""
     config = harness.ExperimentConfig.from_file(args.config)
     if args.seed is not None:
         config.master_seed = args.seed
-    plan, bset = config.build_plan()
+    plan, _ = config.build_plan()
     try:
         _kernel.load()
     except RuntimeError as exc:
         raise ValueError(str(exc)) from exc
-    return plan, bset, Path(args.out or config.out_dir)
+    return plan, Path(args.out or config.out_dir)
 
 
 def cmd_run(args):
@@ -113,13 +114,13 @@ def cmd_run(args):
         algorithms = harness.check_algorithms(args.algorithms.split(","))
         if args.jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-        plan, bset, out_dir = _load_plan(args)
+        plan, out_dir = _load_plan(args)
     except ValueError as exc:
         _err(f"config error: {exc}")
         return EXIT_USAGE
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(bset, out_dir / "manifest.json")
+    _write_manifest(plan.instances, out_dir / "manifest.json")
     journal = out_dir / "journal.jsonl"
     if journal.exists() and not args.resume:
         journal.unlink()
@@ -222,7 +223,7 @@ def cmd_tune(args):
     try:
         if not 0 <= args.dead_band < math.inf:
             raise ValueError(f"--dead-band must be a finite number >= 0, got {args.dead_band}")
-        plan, _, out_dir = _load_plan(args)
+        plan, out_dir = _load_plan(args)
         plan = dataclasses.replace(plan, n_runs=args.runs)
         if args.phase == "screen":
             design = doe.box_behnken_4()
@@ -261,7 +262,7 @@ def cmd_tune(args):
             "rows": journal,
             "intercept": effects.intercept,
             "main_effects": effects.main_effects,
-            "interactions": {"+".join(k): v for k, v in effects.interactions.items()},
+            "interactions": effects.interactions,
         }
         path = out_dir / "screening_effects.json"
         path.write_text(json.dumps(doc, indent=2) + "\n")
@@ -280,20 +281,15 @@ def cmd_tune(args):
         )
 
     trace_path = out_dir / "rsm_trace.json"
+    trace = []
     try:
-        trace, final = doe.rsm_walk(
-            plan.params,
-            budget_limit=args.budget_limit,
-            evaluator=evaluate,
-            dead_band=args.dead_band,
-        )
-    except doe.RsmEvaluationError as exc:
-        trace_path.write_text(
-            json.dumps([s.as_dict() for s in exc.trace], indent=2) + "\n"
-        )
-        _err(f"tuning failed ({exc}); partial trace at {trace_path}")
+        final = doe.rsm_walk(plan.params, evaluate, trace, budget_limit=args.budget_limit,
+                             dead_band=args.dead_band)
+    except RuntimeError as exc:
+        _err(f"tuning failed (evaluator failed: {exc}); partial trace at {trace_path}")
         return EXIT_RUNTIME
-    trace_path.write_text(json.dumps([s.as_dict() for s in trace], indent=2) + "\n")
+    finally:
+        trace_path.write_text(json.dumps(trace, indent=2) + "\n")
     params_path = out_dir / "tuned_params.json"
     params_path.write_text(
         json.dumps({"params": dataclasses.asdict(final)}, indent=2) + "\n"

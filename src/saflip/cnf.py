@@ -13,7 +13,6 @@ class DimacsError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 @dataclass(frozen=True)

@@ -111,8 +111,8 @@ def fractional_factorial_2_4_1(center):
 @dataclass(frozen=True)
 class EffectReport:
     intercept: float
-    main_effects: dict
-    interactions: dict
+    main_effects: dict  # {factor name: effect}
+    interactions: dict  # {"t0+alpha": effect, ...}, one per factor pair
 
 
 def _contrast(signs, responses):
@@ -146,7 +146,7 @@ def estimate_effects(design, responses):
         for idx, name in enumerate(FACTOR_NAMES)
     }
     interactions = {
-        (FACTOR_NAMES[i], FACTOR_NAMES[j]):
+        f"{FACTOR_NAMES[i]}+{FACTOR_NAMES[j]}":
             _contrast([row[i] * row[j] for row in rows], ys)
         for i, j in itertools.combinations(range(4), 2)
     }
@@ -161,30 +161,7 @@ def _clamp(f, value):
     return f.value(v) if f.integral else v
 
 
-@dataclass
-class RsmStep:
-    center: SolverParams
-    coded_rows: tuple
-    decoded: tuple
-    responses: tuple
-    effects: EffectReport
-    decision: str
-
-    def as_dict(self):
-        return {
-            "center": dataclasses.asdict(self.center),
-            "design_rows": [list(r) for r in self.coded_rows],
-            "row_params": [dataclasses.asdict(p) for p in self.decoded],
-            "responses": list(self.responses),
-            "main_effects": self.effects.main_effects,
-            "interactions": {
-                "+".join(k): v for k, v in self.effects.interactions.items()
-            },
-            "decision": self.decision,
-        }
-
-
-def rsm_walk(start, evaluator, budget_limit=5000, dead_band=0.0):
+def rsm_walk(start, evaluator, trace, budget_limit=5000, dead_band=0.0):
     """Steepest-descent walk over half-fraction designs.
 
     At each step: build the 2^4-1 design around the current center, evaluate
@@ -192,24 +169,29 @@ def rsm_walk(start, evaluator, budget_limit=5000, dead_band=0.0):
     and move the center one half-distance per factor against the sign of the
     effect (the score is minimized).  Stops when m_steps * mni exceeds
     `budget_limit`, when every main effect falls inside `dead_band`, when the
-    center is pinned at its bounds, or after MAX_ITERATIONS steps.  Returns
-    (trace, final center).
+    center is pinned at its bounds, or after MAX_ITERATIONS steps.
+
+    Each finished step appends its JSON-ready record (center, design rows
+    and their params, responses, effects, decision) to the list `trace`, so
+    the steps before an evaluator failure stay there; returns the final
+    center.
     """
     center = start
-    trace = []
     for _ in range(MAX_ITERATIONS):
         design = fractional_factorial_2_4_1(center)
-        responses = []
-        try:
-            for params in design.decoded:
-                responses.append(float(evaluator(params)))
-        except Exception as exc:
-            raise RsmEvaluationError(trace, exc) from exc
+        responses = [float(evaluator(params)) for params in design.decoded]
         effects = estimate_effects(design, responses)
 
         def record(decision):
-            trace.append(RsmStep(center, design.coded_rows, design.decoded,
-                                 tuple(responses), effects, decision))
+            trace.append({
+                "center": dataclasses.asdict(center),
+                "design_rows": [list(r) for r in design.coded_rows],
+                "row_params": [dataclasses.asdict(p) for p in design.decoded],
+                "responses": responses,
+                "main_effects": effects.main_effects,
+                "interactions": effects.interactions,
+                "decision": decision,
+            })
 
         if all(abs(v) <= dead_band for v in effects.main_effects.values()):
             record("stop: effects in dead band")
@@ -231,12 +213,4 @@ def rsm_walk(start, evaluator, budget_limit=5000, dead_band=0.0):
             break
         record("move center")
         center = new_center
-    return trace, center
-
-
-class RsmEvaluationError(RuntimeError):
-    """Evaluator failure during the walk; carries the partial trace."""
-
-    def __init__(self, trace, cause):
-        super().__init__(f"evaluator failed: {cause}")
-        self.trace = trace
+    return center

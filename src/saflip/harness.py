@@ -46,7 +46,6 @@ class BenchmarkError(ValueError):
 @dataclass
 class BenchmarkInstance:
     formula: CnfFormula
-    group: int  # number of variables
     origin: str
     digest: str
     split: str = ""  # "", "train", or "test"
@@ -55,42 +54,26 @@ class BenchmarkInstance:
     def instance_id(self):
         return self.formula.source_id
 
+    @property
+    def group(self):
+        """The instance's group: its number of variables."""
+        return self.formula.num_vars
 
-@dataclass
-class BenchmarkSet:
-    instances: list
 
-    def groups(self):
-        return sorted({inst.group for inst in self.instances})
-
-    def subset(self, split=None, groups=None, limit_per_group=None):
-        picked = []
-        per_group = {}
-        for inst in self.instances:
-            if split and inst.split != split:
-                continue
-            if groups and inst.group not in groups:
-                continue
-            count = per_group.get(inst.group, 0)
-            if limit_per_group is not None and count >= limit_per_group:
-                continue
-            per_group[inst.group] = count + 1
-            picked.append(inst)
-        return BenchmarkSet(picked)
-
-    def manifest(self):
-        return [
-            {
-                "instance_id": inst.instance_id,
-                "n": inst.formula.num_vars,
-                "m": inst.formula.num_clauses,
-                "group": inst.group,
-                "digest": inst.digest,
-                "origin": inst.origin,
-                "split": inst.split,
-            }
-            for inst in self.instances
-        ]
+def manifest(instances):
+    """One JSON-ready entry per instance: the content of `manifest.json`."""
+    return [
+        {
+            "instance_id": inst.instance_id,
+            "n": inst.formula.num_vars,
+            "m": inst.formula.num_clauses,
+            "group": inst.group,
+            "digest": inst.digest,
+            "origin": inst.origin,
+            "split": inst.split,
+        }
+        for inst in instances
+    ]
 
 
 def _validate_phase_transition(formula, origin):
@@ -183,8 +166,8 @@ def ingest_benchmarks(sources, validate_phase_transition=True):
     """Parse and validate DIMACS files from one or more sources; each
     file's parse is cached by content (see `_parse`).
 
-    Instances are grouped by variable count, ordered by filename, and
-    deduplicated by content digest; an empty result is an error.
+    Returns the instances as a list sorted by group (variable count), then
+    by filename, deduplicated by content digest; an empty result is an error.
     """
     if isinstance(sources, (str, Path)):
         sources = [sources]
@@ -205,26 +188,22 @@ def ingest_benchmarks(sources, validate_phase_transition=True):
             digests.add(digest)
             ids.add(instance_id)
             collected.append(
-                BenchmarkInstance(
-                    formula=formula,
-                    group=formula.num_vars,
-                    origin=str(source),
-                    digest=digest,
-                )
+                BenchmarkInstance(formula=formula, origin=str(source), digest=digest)
             )
     if wrote_any:  # once per call: a scan per entry would be quadratic
         _kernel.prune("_dimacs.*.marshal", f"_dimacs.{_parser_version()}.")
     if not collected:
         raise BenchmarkError(f"no .cnf instances found in {sources}")
     collected.sort(key=lambda inst: (inst.group, inst.instance_id))
-    return BenchmarkSet(collected)
+    return collected
 
 
-def split_train_test(benchmarks, master_seed):
+def split_train_test(instances, master_seed):
     """Seeded per-group shuffle; the first TRAIN_PER_GROUP instances of each
-    group become the training set, the rest the test set."""
-    for group in benchmarks.groups():
-        members = [i for i in benchmarks.instances if i.group == group]
+    group become the training set, the rest the test set.  Marks each
+    instance's `split` and returns `instances`."""
+    for group in sorted({i.group for i in instances}):
+        members = [i for i in instances if i.group == group]
         if len(members) < TRAIN_PER_GROUP:
             raise BenchmarkError(
                 f"group n={group} has {len(members)} instances, "
@@ -234,7 +213,7 @@ def split_train_test(benchmarks, master_seed):
         random.Random(derive_seed(master_seed, f"split-n{group}", 0)).shuffle(order)
         for rank, inst in enumerate(order):
             inst.split = "train" if rank < TRAIN_PER_GROUP else "test"
-    return benchmarks
+    return instances
 
 
 def derive_seed(master_seed, instance_digest, run_index):
@@ -427,9 +406,11 @@ def summarize(ym, y0, out_dir, deltas=DEFAULT_DELTAS):
     per-group distribution plots; returns the summary."""
     pair = ((ym.algorithm_label or "sa", ym), (y0.algorithm_label or "placebo", y0))
     ber_tables = {delta: ber_grouped(ym, y0, delta) for delta in deltas}
+    cells = {label: _group_cells(m) for label, m in pair}
     summary = {
         "algorithms": [label for label, _ in pair],
-        "mean_y": {label: _group_means(m) for label, m in pair},
+        "mean_y": {label: {group: sum(ys) / len(ys) for group, ys in by_group.items()}
+                   for label, by_group in cells.items()},
         "success_rate": {label: success_rate(m) for label, m in pair},
         "ber": {delta_key(delta): [rep.as_dict() for rep in reports]
                 for delta, reports in ber_tables.items()},
@@ -438,7 +419,7 @@ def summarize(ym, y0, out_dir, deltas=DEFAULT_DELTAS):
     (out_dir / "plots").mkdir(parents=True, exist_ok=True)
     write_ber_tables(ber_tables, out_dir)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    _write_plot_outputs(pair, out_dir / "plots")
+    _write_plot_outputs(cells, out_dir / "plots")
     return summary
 
 
@@ -450,19 +431,13 @@ def _group_cells(matrix):
     }
 
 
-def _group_means(matrix):
-    return {
-        label: sum(cells) / len(cells) for label, cells in _group_cells(matrix).items()
-    }
-
-
-def _write_plot_outputs(pair, plot_dir):
-    """ECDF and histogram plots per group of the (label, matrix) pair."""
+def _write_plot_outputs(cells, plot_dir):
+    """ECDF and histogram plots per group of {label: `_group_cells` of its
+    matrix}."""
     from . import plots  # here, not at the top: `tune`, `fetch` and `ber` draw none
 
-    cells = [(label, _group_cells(m)) for label, m in pair]
-    for group in cells[0][1]:
-        series = {label: by_group[group] for label, by_group in cells}
+    for group in next(iter(cells.values())):
+        series = {label: by_group[group] for label, by_group in cells.items()}
         tag = group.replace(" ", "_")
         (plot_dir / f"ecdf_{tag}.svg").write_text(
             plots.ecdf_svg(series, title=f"ECDF of scores ({group})")
@@ -561,22 +536,31 @@ class ExperimentConfig:
         return config
 
     def build_plan(self):
-        bset = ingest_benchmarks(
+        """(plan, its instances): the instances ingested from `benchmarks`,
+        kept by split, then by group, then up to `limit_per_group` of each
+        group in ingest order."""
+        instances = ingest_benchmarks(
             self.benchmarks, validate_phase_transition=self.validate_phase_transition
         )
         if self.split:
-            split_train_test(bset, self.master_seed)
-        bset = bset.subset(
-            split=self.split or None,
-            groups=set(self.groups) or None,
-            limit_per_group=self.limit_per_group or None,
-        )
-        if not bset.instances:
+            split_train_test(instances, self.master_seed)
+        picked, per_group = [], {}
+        for inst in instances:
+            if self.split and inst.split != self.split:
+                continue
+            if self.groups and inst.group not in self.groups:
+                continue
+            count = per_group.get(inst.group, 0)
+            if self.limit_per_group and count >= self.limit_per_group:
+                continue
+            per_group[inst.group] = count + 1
+            picked.append(inst)
+        if not picked:
             raise BenchmarkError("no instances left after filtering")
         return ExperimentPlan(
-            instances=bset.instances,
+            instances=picked,
             n_runs=self.n_runs,
             master_seed=self.master_seed,
             deltas=self.deltas,
             params=self.params,
-        ), bset
+        ), picked

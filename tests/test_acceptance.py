@@ -8,6 +8,7 @@ test environment.
 """
 
 import dataclasses
+import itertools
 import json
 import random
 
@@ -36,10 +37,10 @@ def report(num, ok, detail=""):
 @pytest.fixture(scope="module")
 def ceiling_results(fixture_benchmarks):
     """>= 10 n=50 instances x 10 paired seeds, pinned params, both solvers."""
-    subset = fixture_benchmarks.subset(groups={50})
-    assert len(subset.instances) >= 10
+    n50 = [inst for inst in fixture_benchmarks if inst.group == 50]
+    assert len(n50) >= 10
     plan = ExperimentPlan(
-        instances=subset.instances, n_runs=N_SEEDS, master_seed=1, params=PINNED_PARAMS
+        instances=n50, n_runs=N_SEEDS, master_seed=1, params=PINNED_PARAMS
     )
     matrices, failed = execute(plan)
     assert failed == []
@@ -49,10 +50,14 @@ def ceiling_results(fixture_benchmarks):
 @pytest.fixture(scope="module")
 def desk_scale_results(fixture_benchmarks):
     """5 instances per n in {50, 75, 100, 125} x 10 paired seeds."""
-    subset = fixture_benchmarks.subset(limit_per_group=5)
-    assert len(subset.instances) == 20
+    first_five = [
+        inst
+        for _, members in itertools.groupby(fixture_benchmarks, lambda inst: inst.group)
+        for inst in itertools.islice(members, 5)
+    ]
+    assert len(first_five) == 20
     plan = ExperimentPlan(
-        instances=subset.instances, n_runs=N_SEEDS, master_seed=2, params=PINNED_PARAMS
+        instances=first_five, n_runs=N_SEEDS, master_seed=2, params=PINNED_PARAMS
     )
     matrices, failed = execute(plan)
     assert failed == []
@@ -148,7 +153,7 @@ def test_criterion_7_flip_correctness():
 def test_criterion_8_determinism_and_seed_pairing(fixture_benchmarks, tmp_path):
     rng = random.Random(808)
     pairs = [
-        (rng.choice(fixture_benchmarks.instances), rng.randrange(2**63))
+        (rng.choice(fixture_benchmarks), rng.randrange(2**63))
         for _ in range(20)
     ]
     fast = dataclasses.replace(PINNED_PARAMS, m_steps=10, mni=10)
@@ -159,9 +164,8 @@ def test_criterion_8_determinism_and_seed_pairing(fixture_benchmarks, tmp_path):
                 solver(inst.formula, params))
 
     # Harness journal confirms elementwise seed pairing.
-    subset = fixture_benchmarks.subset(groups={50}, limit_per_group=2)
-    plan = ExperimentPlan(instances=subset.instances, n_runs=3, master_seed=8,
-                          params=fast)
+    n50 = [inst for inst in fixture_benchmarks if inst.group == 50]
+    plan = ExperimentPlan(instances=n50[:2], n_runs=3, master_seed=8, params=fast)
     journal = tmp_path / "journal.jsonl"
     execute(plan, journal_path=journal)
     seeds = {}
@@ -182,7 +186,7 @@ def test_criterion_9_budget_parity_and_acceptance_rate(fixture_benchmarks):
     unsat = CnfFormula(1, ((1,), (-1,)))
     sa = run_sa_flip(unsat, params)
     pl = run_placebo_flip(unsat, params)
-    inst = fixture_benchmarks.instances[0]
+    inst = fixture_benchmarks[0]
     sat_sa = run_sa_flip(inst.formula, dataclasses.replace(PINNED_PARAMS, seed=4))
     sat_pl = run_placebo_flip(inst.formula, dataclasses.replace(PINNED_PARAMS, seed=4))
     pinned_budget = 1 + PINNED_PARAMS.m_steps * PINNED_PARAMS.mni
@@ -233,7 +237,7 @@ def test_criterion_10_doe_correctness():
     )
     interaction_responses = [row[0] * row[1] for row in ff.coded_rows]
     inter = estimate_effects(ff, interaction_responses)
-    planted_ok = planted_ok and abs(inter.interactions[("t0", "alpha")] - 2) < 1e-12
+    planted_ok = planted_ok and abs(inter.interactions["t0+alpha"] - 2) < 1e-12
 
     ok = bb_ok and relation_ok and balance_ok and ortho_ok and planted_ok
     report(10, ok, f"bb={bb_ok} relation={relation_ok} balance={balance_ok} "

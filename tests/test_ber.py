@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -261,6 +262,17 @@ class TestPersistence:
         path = tmp_path / "bad.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\n" + row)
         with pytest.raises(ValueError, match=message):
+            read_result_csv(path)
+
+    @pytest.mark.parametrize("row, bad", [
+        ("a,50,x,1,sa,0.3", "'x'"),
+        ("a,50,2,one,sa,0.3", "'one'"),
+        ("a,50,2,1,sa,zero", "'zero'"),
+    ], ids=["seed", "run_index", "y"])
+    def test_csv_names_the_line_of_a_bad_number(self, tmp_path, row, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\na,50,1,0,sa,0.1\n" + row + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: ") + ".*" + bad):
             read_result_csv(path)
 
     def test_csv_rejects_duplicate_run(self, tmp_path):

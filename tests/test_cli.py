@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -9,7 +10,7 @@ from saflip import _kernel, harness
 from saflip.cli import main
 from saflip.ber import read_result_csv
 
-from conftest import run_python
+from conftest import DATA_DIR, run_python
 from test_harness import write_toy_instances
 
 
@@ -297,14 +298,14 @@ class TestReport:
         assert (tmp_path / "r1" / "summary.json").exists()
 
 
-def record_sa_calls(monkeypatch, fail=False):
+def record_sa_calls(monkeypatch, fail_after=None):
     """Replace the harness's SA solver by one that logs (instance, seed)
-    per call, or raises when `fail` is set."""
+    per call, and raises once `fail_after` calls are logged."""
     calls = []
     solver = harness.ALGORITHMS["sa"]
 
     def recorded(formula, params):
-        if fail:
+        if len(calls) == fail_after:
             raise RuntimeError("solver exploded")
         calls.append((formula.source_id, params.seed))
         return solver(formula, params)
@@ -315,10 +316,10 @@ def record_sa_calls(monkeypatch, fail=False):
 
 def seed_block(tmp_path, master_seed, runs, first_run):
     """(instance, seed) per cell of one evaluation, in execution order."""
-    bset = harness.ingest_benchmarks(tmp_path / "toy", validate_phase_transition=False)
+    instances = harness.ingest_benchmarks(tmp_path / "toy", validate_phase_transition=False)
     return [
         (inst.instance_id, harness.derive_seed(master_seed, inst.digest, first_run + j))
-        for inst in bset.instances
+        for inst in instances
         for j in range(runs)
     ]
 
@@ -362,7 +363,7 @@ class TestTune:
 
     def test_failing_solver_fails_screen(self, tmp_path, capsys, monkeypatch):
         config = make_config(tmp_path)
-        record_sa_calls(monkeypatch, fail=True)
+        record_sa_calls(monkeypatch, fail_after=0)
         code, out, err = run_cli(
             capsys, "tune", "--config", str(config), "--phase", "screen",
             "--runs", "1", "--out", str(tmp_path / "tune"),
@@ -378,7 +379,7 @@ class TestTune:
         config = make_config(
             tmp_path, params={"t0": 50.0, "alpha": 0.9, "m_steps": 20, "mni": 50}
         )
-        record_sa_calls(monkeypatch, fail=True)
+        record_sa_calls(monkeypatch, fail_after=0)
         code, out, err = run_cli(
             capsys, "tune", "--config", str(config), "--phase", "rsm",
             "--runs", "1", "--out", str(tmp_path / "tune"),
@@ -386,6 +387,24 @@ class TestTune:
         assert code == 1
         assert "partial trace" in err
         assert json.loads((tmp_path / "tune" / "rsm_trace.json").read_text()) == []
+        assert not (tmp_path / "tune" / "tuned_params.json").exists()
+
+    def test_rsm_failure_after_one_step_keeps_that_step(self, tmp_path, capsys, monkeypatch):
+        # From this start the walk's first step moves the center, so the
+        # walk goes on to a second design, whose first evaluation fails.
+        config = make_config(
+            tmp_path, params={"t0": 50.0, "alpha": 0.9, "m_steps": 6, "mni": 11}
+        )
+        cells = len(seed_block(tmp_path, 21, runs=1, first_run=0))
+        record_sa_calls(monkeypatch, fail_after=8 * cells)
+        code, out, err = run_cli(
+            capsys, "tune", "--config", str(config), "--phase", "rsm",
+            "--runs", "1", "--out", str(tmp_path / "tune"),
+        )
+        assert (code, out) == (1, "")
+        assert "partial trace" in err
+        trace = json.loads((tmp_path / "tune" / "rsm_trace.json").read_text())
+        assert [step["decision"] for step in trace] == ["move center"]
         assert not (tmp_path / "tune" / "tuned_params.json").exists()
 
     def test_screen_toy(self, tmp_path, capsys):
@@ -420,6 +439,24 @@ class TestTune:
         assert final_decision.startswith("stop")
         if "exceeds" in final_decision:
             assert params["m_steps"] * params["mni"] > 1200
+
+    def test_rsm_output_bytes_are_pinned(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "benchmarks": str(DATA_DIR), "out_dir": "out", "limit_per_group": 1,
+            "params": {"t0": 50, "alpha": 0.9, "m_steps": 20, "mni": 50},
+        }))
+        code, _, _ = run_cli(
+            capsys, "tune", "--config", str(config), "--phase", "rsm", "--runs", "1",
+            "--budget-limit", "1200", "--seed", "5", "--out", str(tmp_path / "tune"),
+        )
+        assert code == 0
+        digests = {name: hashlib.sha256((tmp_path / "tune" / name).read_bytes()).hexdigest()
+                   for name in ("rsm_trace.json", "tuned_params.json")}
+        assert digests == {
+            "rsm_trace.json": "8968c473e5bedf48d4851012135330d22a733c5616c62914f8d5315aeaea55b1",
+            "tuned_params.json": "b88c0cef2665f355c1307e5865fa72413b11ca5ea245b0348616f1f3c8cb4445",
+        }
 
     def test_rsm_start_too_close_to_bound_exits_2(self, tmp_path, capsys):
         config = make_config(tmp_path)  # t0=1.0, within one half-distance of 0

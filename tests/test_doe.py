@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from collections import Counter
 
@@ -93,7 +94,7 @@ class TestEstimateEffects:
         design = fractional_factorial_2_4_1(START)
         responses = [row[0] * row[1] for row in design.coded_rows]
         report = estimate_effects(design, responses)
-        assert report.interactions[("t0", "alpha")] == pytest.approx(2.0)
+        assert report.interactions["t0+alpha"] == pytest.approx(2.0)
         for name in FACTOR_NAMES:
             assert report.main_effects[name] == pytest.approx(0.0)
 
@@ -121,55 +122,58 @@ class TestEstimateEffects:
             estimate_effects(design, [0.0] * 7)
 
 
+def walk(evaluator, budget_limit=10**9, **kwargs):
+    """(trace, final center) of an `rsm_walk` from START."""
+    trace = []
+    final = rsm_walk(START, evaluator, trace, budget_limit=budget_limit, **kwargs)
+    return trace, final
+
+
 class TestRsmWalk:
     def test_moves_toward_synthetic_optimum(self):
         def evaluator(params):
             return (params.m_steps - 30) ** 2 / 1000.0
 
-        trace, final = rsm_walk(
-            START, budget_limit=10**9, evaluator=evaluator, dead_band=1e-12
-        )
+        trace, final = walk(evaluator, dead_band=1e-12)
         assert final.m_steps == 30
         # First step moves m_steps up by one half-distance.
-        assert trace[0].effects.main_effects["m_steps"] < 0
-        assert trace[1].center.m_steps == 25
+        assert trace[0]["main_effects"]["m_steps"] < 0
+        assert trace[1]["center"]["m_steps"] == 25
 
     def test_budget_stopping_rule(self):
         def evaluator(params):
             return 1.0 / (params.m_steps * params.mni)
 
-        trace, final = rsm_walk(START, budget_limit=5000, evaluator=evaluator)
+        trace, final = walk(evaluator, budget_limit=5000)
         assert final.m_steps * final.mni > 5000
-        assert "exceeds 5000" in trace[-1].decision
+        assert "exceeds 5000" in trace[-1]["decision"]
 
     def test_parameters_stay_valid(self):
         def evaluator(params):
             return params.alpha + params.t0 / 1e6  # pushes alpha and t0 down
 
-        trace, final = rsm_walk(START, budget_limit=10**9, evaluator=evaluator)
+        trace, final = walk(evaluator)
         for step in trace:
-            assert 0 < step.center.alpha < 1
-            assert step.center.t0 > 0
-            for params in step.decoded:
-                assert 0 < params.alpha < 1
-                assert params.t0 > 0
-                assert params.m_steps >= 1 and params.mni >= 1
+            assert 0 < step["center"]["alpha"] < 1
+            assert step["center"]["t0"] > 0
+            for params in step["row_params"]:
+                assert 0 < params["alpha"] < 1
+                assert params["t0"] > 0
+                assert params["m_steps"] >= 1 and params["mni"] >= 1
 
     def test_center_pinned_at_lower_bound(self):
         # t0 alone drives the score, so the walk lowers t0 until it sits one
         # half-distance above its lower bound and can move no further.
-        trace, final = rsm_walk(START, budget_limit=10**9, evaluator=lambda p: p.t0)
-        centers = [step.center.t0 for step in trace]
+        trace, final = walk(lambda p: p.t0)
+        centers = [step["center"]["t0"] for step in trace]
         assert centers == [50.0, 40.0, 30.0, 20.0, 10.000000001]
-        assert [step.decision for step in trace] == ["move center"] * 4 + [
+        assert [step["decision"] for step in trace] == ["move center"] * 4 + [
             "stop: center pinned at bounds"
         ]
-        assert final == trace[-1].center
-        assert all(p.t0 > 0 for step in trace for p in step.decoded)
+        assert dataclasses.asdict(final) == trace[-1]["center"]
+        assert all(p["t0"] > 0 for step in trace for p in step["row_params"])
 
     def test_evaluator_failure_preserves_trace(self):
-        from saflip.doe import RsmEvaluationError
-
         calls = [0]
 
         def evaluator(params):
@@ -178,6 +182,7 @@ class TestRsmWalk:
                 raise RuntimeError("boom")
             return 1.0 / (params.m_steps * params.mni)
 
-        with pytest.raises(RsmEvaluationError) as info:
-            rsm_walk(START, budget_limit=10**9, evaluator=evaluator)
-        assert len(info.value.trace) == 1  # one completed step before the failure
+        trace = []
+        with pytest.raises(RuntimeError, match="^boom$"):
+            rsm_walk(START, evaluator, trace, budget_limit=10**9)
+        assert len(trace) == 1  # one completed step before the failure

@@ -12,9 +12,8 @@ CERTIFICATES = Path(__file__).parent / "data" / "fixture_certificates.json"
 
 def test_every_fixture_has_a_satisfying_assignment(fixture_benchmarks):
     certificates = json.loads(CERTIFICATES.read_text())
-    instances = fixture_benchmarks.instances
-    assert sorted(certificates) == sorted(inst.digest for inst in instances)
-    for inst in instances:
+    assert sorted(certificates) == sorted(inst.digest for inst in fixture_benchmarks)
+    for inst in fixture_benchmarks:
         entry = certificates[inst.digest]
         values = [int(bit) for bit in entry["values"]]
         assert entry["instance_id"] == inst.instance_id

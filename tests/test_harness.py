@@ -17,6 +17,7 @@ from saflip.harness import (
     derive_seed,
     execute,
     ingest_benchmarks,
+    manifest,
     split_train_test,
     summarize,
 )
@@ -54,14 +55,14 @@ class TestDeriveSeed:
 
 class TestIngest:
     def test_fixture_directory(self, fixture_benchmarks, tmp_path):
-        groups = fixture_benchmarks.groups()
+        groups = sorted({i.group for i in fixture_benchmarks})
         assert groups == [50, 75, 100, 125]
-        n50 = [i for i in fixture_benchmarks.instances if i.group == 50]
+        n50 = [i for i in fixture_benchmarks if i.group == 50]
         assert len(n50) >= 10
         assert all(i.formula.num_clauses == 218 for i in n50)
 
     def test_manifest_written(self):
-        entries = ingest_benchmarks(DATA_DIR).manifest()
+        entries = manifest(ingest_benchmarks(DATA_DIR))
         assert {e["group"] for e in entries} == {50, 75, 100, 125}
         assert all({"digest", "n", "m", "instance_id"} <= set(e) for e in entries)
 
@@ -73,8 +74,8 @@ class TestIngest:
         (tmp_path / "bad.cnf").write_text("p cnf 3 1\n1 2 0\n")
         with pytest.raises(BenchmarkError, match="3-CNF"):
             ingest_benchmarks(tmp_path)
-        bset = ingest_benchmarks(tmp_path, validate_phase_transition=False)
-        assert len(bset.instances) == 1
+        instances = ingest_benchmarks(tmp_path, validate_phase_transition=False)
+        assert len(instances) == 1
 
     def test_ratio_out_of_phase_transition_rejected(self, tmp_path):
         rng = random.Random(1)
@@ -89,18 +90,16 @@ class TestIngest:
         with tarfile.open(archive, "w:gz") as tar:
             for f in sorted(toy_dir.glob("*.cnf")):
                 tar.add(f, arcname=f.name)
-        bset = ingest_benchmarks(
+        instances = ingest_benchmarks(
             [toy_dir, archive], validate_phase_transition=False
         )
         # The archive repeats the directory's content; digests dedup it.
-        assert len(bset.instances) == 4
+        assert len(instances) == 4
 
     def test_deterministic_ordering(self):
         a = ingest_benchmarks(DATA_DIR)
         b = ingest_benchmarks(DATA_DIR)
-        assert [i.instance_id for i in a.instances] == [
-            i.instance_id for i in b.instances
-        ]
+        assert [i.instance_id for i in a] == [i.instance_id for i in b]
 
 
 @pytest.fixture
@@ -138,13 +137,13 @@ def one_fixture(tmp_path, name="genuf50-01.cnf"):
 class TestParseCache:
     def test_warm_ingest_parses_nothing(self, cache_dir, parses):
         cold = ingest_benchmarks(DATA_DIR)
-        assert len(parses) == len(cold.instances) == len(entries(cache_dir)) == 30
+        assert len(parses) == len(cold) == len(entries(cache_dir)) == 30
         parses.clear()
         warm = ingest_benchmarks(DATA_DIR)
         assert parses == []
-        assert [i.formula for i in warm.instances] == [i.formula for i in cold.instances]
-        assert [i.digest for i in warm.instances] == [i.digest for i in cold.instances]
-        assert warm.manifest() == cold.manifest()
+        assert [i.formula for i in warm] == [i.formula for i in cold]
+        assert [i.digest for i in warm] == [i.digest for i in cold]
+        assert manifest(warm) == manifest(cold)
 
     @pytest.mark.parametrize("damage", [lambda data: b"garbage",
                                         lambda data: data[:len(data) // 2]],
@@ -159,8 +158,8 @@ class TestParseCache:
         again = ingest_benchmarks(src)
         assert parses == ["genuf50-01", "genuf50-01"]
         assert entry.read_bytes() == good
-        assert again.manifest() == first.manifest()
-        assert again.instances[0].formula == first.instances[0].formula
+        assert manifest(again) == manifest(first)
+        assert again[0].formula == first[0].formula
 
     def test_edited_file_gets_a_new_entry(self, cache_dir, parses, tmp_path):
         src = one_fixture(tmp_path)
@@ -195,7 +194,7 @@ class TestParseCache:
     def test_unwritable_cache_still_ingests_silently(self, cache_dir, monkeypatch, tmp_path,
                                                      capsys, parses, blocked):
         src = one_fixture(tmp_path)
-        expected = ingest_benchmarks(src).manifest()
+        expected = manifest(ingest_benchmarks(src))
         parses.clear()
         capsys.readouterr()
         if blocked == "no-directory":
@@ -210,7 +209,7 @@ class TestParseCache:
 
             monkeypatch.setattr(_kernel.os, "replace", refuse)
         for _ in range(2):
-            assert ingest_benchmarks(src).manifest() == expected
+            assert manifest(ingest_benchmarks(src)) == expected
         assert len(parses) == 2
         assert capsys.readouterr().err == ""
         if blocked == "no-rename":
@@ -231,10 +230,10 @@ class TestParseCache:
 class TestSplit:
     def test_split_counts(self, tmp_path):
         toy = write_toy_instances(tmp_path, per_group=25)
-        bset = ingest_benchmarks(toy, validate_phase_transition=False)
-        split_train_test(bset, master_seed=5)
-        for group in bset.groups():
-            members = [i for i in bset.instances if i.group == group]
+        instances = ingest_benchmarks(toy, validate_phase_transition=False)
+        split_train_test(instances, master_seed=5)
+        for group in sorted({i.group for i in instances}):
+            members = [i for i in instances if i.group == group]
             assert sum(1 for i in members if i.split == "train") == 20
             assert sum(1 for i in members if i.split == "test") == 5
 
@@ -246,13 +245,13 @@ class TestSplit:
         b = split_train_test(
             ingest_benchmarks(toy, validate_phase_transition=False), master_seed=9
         )
-        assert [i.split for i in a.instances] == [i.split for i in b.instances]
+        assert [i.split for i in a] == [i.split for i in b]
 
     def test_too_few_instances(self, tmp_path):
         toy = write_toy_instances(tmp_path, per_group=19)
-        bset = ingest_benchmarks(toy, validate_phase_transition=False)
+        instances = ingest_benchmarks(toy, validate_phase_transition=False)
         with pytest.raises(BenchmarkError, match="19"):
-            split_train_test(bset, master_seed=1)
+            split_train_test(instances, master_seed=1)
 
 
 FAST_PARAMS = SolverParams(t0=1.0, alpha=0.9, m_steps=3, mni=4)
@@ -260,9 +259,8 @@ FAST_PARAMS = SolverParams(t0=1.0, alpha=0.9, m_steps=3, mni=4)
 
 def toy_plan(tmp_path, per_group=1, n_runs=3, master_seed=11):
     toy = write_toy_instances(tmp_path / "toy", per_group=per_group)
-    bset = ingest_benchmarks(toy, validate_phase_transition=False)
     return ExperimentPlan(
-        instances=bset.instances,
+        instances=ingest_benchmarks(toy, validate_phase_transition=False),
         n_runs=n_runs,
         master_seed=master_seed,
         params=FAST_PARAMS,
@@ -417,8 +415,8 @@ class TestExecute:
             "from saflip import _kernel\n"
             "from saflip.harness import ExperimentPlan, execute, ingest_benchmarks\n"
             "_kernel.CACHE_DIR = Path(sys.argv[2])\n"
-            "bset = ingest_benchmarks(sys.argv[1], validate_phase_transition=False)\n"
-            "matrices, failed = execute(ExperimentPlan(bset.instances, n_runs=2), jobs=2)\n"
+            "instances = ingest_benchmarks(sys.argv[1], validate_phase_transition=False)\n"
+            "matrices, failed = execute(ExperimentPlan(instances, n_runs=2), jobs=2)\n"
             "print(json.dumps([failed, matrices['sa'].num_runs, sorted(\n"
             "    {'multiprocessing', 'concurrent.futures.process', 'concurrent.futures.thread'}\n"
             "    & sys.modules.keys())]))\n"
@@ -575,7 +573,7 @@ class TestConfig:
             )
         )
         config = ExperimentConfig.from_file(path)
-        plan, bset = config.build_plan()
-        assert len(plan.instances) == 1
+        plan, instances = config.build_plan()
+        assert instances == plan.instances and len(instances) == 1
         assert plan.instances[0].group == 6
         assert plan.params.m_steps == 2

@@ -57,8 +57,8 @@ def expected(kernel):
 
 
 def test_fixture_grid_matches_reference(kernel, fixture_benchmarks):
-    assert len(fixture_benchmarks.instances) == 30
-    for inst in fixture_benchmarks.instances:
+    assert len(fixture_benchmarks) == 30
+    for inst in fixture_benchmarks:
         for seed in (1, 2, 3):
             params = SolverParams(**PINNED, seed=seed)
             for solver in SOLVERS:

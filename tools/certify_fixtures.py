@@ -70,7 +70,7 @@ def dpll(clauses, true_lits=()):
 
 def main():
     certificates = {}
-    for inst in ingest_benchmarks(FIXTURES).instances:
+    for inst in ingest_benchmarks(FIXTURES):
         clauses = inst.formula.clauses
         true_lits = dpll(clauses)
         if true_lits is None:

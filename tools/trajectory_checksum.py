@@ -37,7 +37,7 @@ def mixed_cnf(n, m, rng):
 
 
 def runs():
-    for inst in ingest_benchmarks(ROOT / "tests" / "data" / "instances").instances:
+    for inst in ingest_benchmarks(ROOT / "tests" / "data" / "instances"):
         for seed in (1, 2, 3):
             yield inst.formula, dataclasses.replace(PINNED, seed=seed)
     rng = random.Random(20261018)

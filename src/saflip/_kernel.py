@@ -18,9 +18,7 @@ from __future__ import annotations
 import functools
 import os
 import sys
-import weakref
 from array import array
-from itertools import accumulate, chain
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_kernel.c")
@@ -136,27 +134,6 @@ def load():
     return fn
 
 
-_packed = {}  # id(formula) -> (weak reference, lits, starts)
-
-
-def _pack(formula):
-    """The kernel's arrays of `formula`: every clause's literals in one
-    array, and where each clause starts in it.  Built once per formula
-    object and dropped when the formula is collected, so a formula's runs
-    in one process share them; keyed by identity, since hashing a formula
-    hashes all its clauses."""
-    key = id(formula)
-    entry = _packed.get(key)
-    if entry is None or entry[0]() is not formula:
-        clauses = formula.clauses
-        entry = _packed[key] = (
-            weakref.ref(formula, lambda _: _packed.pop(key, None)),
-            array("i", chain.from_iterable(clauses)),
-            array("i", accumulate(map(len, clauses), initial=0)),
-        )
-    return entry[1], entry[2]
-
-
 def run(fn, formula, params, rule):
     """One run through the kernel function `fn` from `load()` under the
     acceptance `rule` (`annealing.METROPOLIS` or `annealing.COIN`), its draws
@@ -167,7 +144,7 @@ def run(fn, formula, params, rule):
     so runs in several threads go on side by side.
     """
     n = formula.num_vars
-    lits, starts = _pack(formula)
+    lits, starts = formula.packed
     best = array("i", [0]) * n
     out = array("q", [0] * 4)
     status = fn(

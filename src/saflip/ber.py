@@ -245,6 +245,8 @@ def read_result_csv(path):
                 cells = rows[iid]["cells"]
                 try:
                     j, cell = int(run_index), (int(seed), float(y))
+                    if not 0.0 <= cell[1] <= 1.0:
+                        raise ValueError(f"score {cell[1]} outside [0, 1]")
                 except ValueError as exc:
                     raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
                 if j in cells:

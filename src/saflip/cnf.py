@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain
 
 
 class DimacsError(ValueError):
@@ -50,6 +53,14 @@ class CnfFormula:
     @property
     def num_clauses(self):
         return len(self.clauses)
+
+    @cached_property
+    def packed(self):
+        """The C kernel's arrays: every clause's literals in one `array("i")`,
+        and where each clause starts in it.  Built on first use and kept, so
+        a formula's runs share them; equality and hashing ignore them."""
+        return (array("i", chain.from_iterable(self.clauses)),
+                array("i", accumulate(map(len, self.clauses), initial=0)))
 
     def digest(self):
         """Content digest of the formula (hex), independent of source_id."""

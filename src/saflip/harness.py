@@ -328,7 +328,9 @@ def execute(plan, algorithms=("sa", "placebo"), jobs=1, journal_path=None,
     `progress(rec, position, total)`, where position counts the plan's cells
     done so far, this one included; cells already in the journal are
     skipped, which makes an interrupted experiment resumable and lets the
-    seed pairing be audited.
+    seed pairing be audited.  A journaled cell of the plan whose seed is not
+    the one the plan derives for it (another master seed, or changed
+    instance content) raises ValueError before any cell runs.
     A failed cell of the plan, under any algorithm in the journal, removes
     its run column from the matrices of every algorithm, so they stay
     rectangular and paired.
@@ -339,6 +341,13 @@ def execute(plan, algorithms=("sa", "placebo"), jobs=1, journal_path=None,
         done = {_key(rec): rec for rec in _read_journal(Path(journal_path))}
 
     seeds = plan.seed_matrix()
+    rows = {inst.instance_id: row for inst, row in zip(plan.instances, seeds)}
+    for (algo, iid, j), rec in done.items():
+        if iid in rows and j < plan.n_runs and rec["seed"] != rows[iid][j]:
+            raise ValueError(
+                f"journal cell ({algo}, {iid}, run {j}) has seed {rec['seed']}, "
+                f"but this plan derives seed {rows[iid][j]} for it"
+            )
     cells = [
         (algo, inst.instance_id, j, inst.formula,
          dataclasses.replace(plan.params, seed=seeds[i][j]))

@@ -268,11 +268,14 @@ class TestPersistence:
         ("a,50,x,1,sa,0.3", "'x'"),
         ("a,50,2,one,sa,0.3", "'one'"),
         ("a,50,2,1,sa,zero", "'zero'"),
-    ], ids=["seed", "run_index", "y"])
+        ("a,50,2,1,sa,2.0", "score 2.0 outside [0, 1]"),
+        ("a,50,2,1,sa,nan", "score nan outside [0, 1]"),
+    ], ids=["seed", "run_index", "y", "y_above_1", "y_nan"])
     def test_csv_names_the_line_of_a_bad_number(self, tmp_path, row, bad):
         path = tmp_path / "bad.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\na,50,1,0,sa,0.1\n" + row + "\n")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: ") + ".*" + bad):
+        message = re.escape(f"{path}: line 3: ") + ".*" + re.escape(bad)
+        with pytest.raises(ValueError, match=message):
             read_result_csv(path)
 
     def test_csv_rejects_duplicate_run(self, tmp_path):

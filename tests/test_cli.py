@@ -85,6 +85,25 @@ class TestRun:
         assert Path(json.loads(out)["results_sa"]).read_bytes() == sa_bytes
         assert "run 0" not in err  # nothing recomputed
 
+    def test_resume_refuses_the_cells_of_another_seed(self, tmp_path, capsys):
+        config = make_config(tmp_path)
+        code, _, _ = run_cli(capsys, "run", "--config", str(config), "--seed", "1")
+        assert code == 0
+        journal = tmp_path / "out" / "journal.jsonl"
+        before = journal.read_bytes()
+        first = json.loads(before.splitlines()[0])
+        digest = json.loads((tmp_path / "out" / "manifest.json").read_text())[0]["digest"]
+        code, out, err = run_cli(
+            capsys, "run", "--config", str(config), "--seed", "2", "--resume"
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            f"experiment failed: journal cell (sa, {first['instance_id']}, run 0) has seed "
+            f"{first['seed']}, but this plan derives seed "
+            f"{harness.derive_seed(2, digest, 0)} for it\n"
+        )
+        assert journal.read_bytes() == before
+
     def test_resume_after_torn_journal_line(self, tmp_path, capsys):
         whole = make_config(tmp_path / "whole")
         code, out, _ = run_cli(capsys, "run", "--config", str(whole))

@@ -440,10 +440,10 @@ class TestExecute:
         first = plan.instances[0].instance_id
         journal = tmp_path / "journal.jsonl"
 
-        def append_error(algo, instance_id, run_index):
+        def append_error(algo, instance_id, run_index, seed=0):
             with journal.open("a") as fh:
                 fh.write(json.dumps({"algorithm": algo, "instance_id": instance_id,
-                                     "run_index": run_index, "seed": 0, "error": "x"}) + "\n")
+                                     "run_index": run_index, "seed": seed, "error": "x"}) + "\n")
 
         append_error("sa", first, 7)
         append_error("sa", "another-instance", 0)
@@ -452,7 +452,7 @@ class TestExecute:
         assert matrices["sa"].num_runs == 2
         # Another algorithm's failed cell still removes its column, so that
         # result CSVs written by separate calls stay paired.
-        append_error("placebo", first, 1)
+        append_error("placebo", first, 1, seed=plan.seed_matrix()[0][1])
         matrices, failed = execute(plan, algorithms=("sa",), journal_path=journal)
         assert failed == [(first, 1)]
         assert matrices["sa"].num_runs == 1

@@ -6,7 +6,10 @@ import json
 import os
 import random
 import subprocess
+import sys
+import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -227,15 +230,56 @@ def test_packed_arrays_are_built_once_per_formula_and_dropped_with_it(kernel):
     formula = random_3cnf(15, 64, random.Random(3))
     params = SolverParams(**PINNED, seed=1)
     first = result(run_sa_flip, formula, params)
-    lits, starts = _kernel._pack(formula)
-    assert all(a is b for a, b in zip(_kernel._pack(formula), (lits, starts)))
-    assert list(starts) == list(range(0, 3 * 64 + 1, 3))
+    lits, starts = pair = formula.packed
     assert result(run_sa_flip, formula, params) == first
-    copy = CnfFormula(formula.num_vars, formula.clauses)
+    assert formula.packed is pair
+    assert list(lits) == [lit for c in formula.clauses for lit in c]
+    assert list(starts) == list(range(0, 3 * 64 + 1, 3))
+    copy = CnfFormula(formula.num_vars, formula.clauses, formula.source_id)
+    assert copy == formula and hash(copy) == hash(formula) and repr(copy) == repr(formula)
     assert result(run_sa_flip, copy, params) == first
-    key = id(formula)
-    del formula
-    assert key not in _kernel._packed
+    assert copy.packed is not pair
+    alive = weakref.ref(lits)
+    del formula, lits, starts, pair
+    assert alive() is None
+
+
+def test_threads_share_one_formula_that_nothing_has_packed(kernel):
+    """More threads than cores run both solvers on one fresh formula, with
+    a tiny switch interval so they interleave while its arrays are built;
+    each outcome must equal the serial one for its seed.  The clauses x1
+    and -x1 make every run spend its whole budget in the kernel."""
+    clauses = random_3cnf(40, 170, random.Random(11)).clauses + ((1,), (-1,))
+    jobs = [(solver, SolverParams(**PINNED, seed=seed)) for seed in range(8)
+            for solver in SOLVERS]
+    serial = [result(solver, CnfFormula(40, clauses), params) for solver, params in jobs]
+    formula = CnfFormula(40, clauses)
+    assert "packed" not in vars(formula)
+    outcomes = [None] * len(jobs)
+    start = threading.Barrier(4)
+
+    def work(k):
+        start.wait(timeout=30)
+        for i in range(k, len(jobs), 4):
+            solver, params = jobs[i]
+            outcomes[i] = result(solver, formula, params)
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert outcomes == serial
+    lits, starts = pair = formula.packed
+    assert formula.packed is pair
+    assert list(lits) == [lit for c in clauses for lit in c]
+    assert list(starts) == [0, *itertools.accumulate(map(len, clauses))]
 
 
 def test_missing_compiler_raises_naming_it(kernel_cache, monkeypatch):

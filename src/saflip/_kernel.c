@@ -226,22 +226,18 @@ static void flip(const Formula *f, State *s, Rng *r, int *perm)
 }
 
 enum { METROPOLIS = 0, COIN = 1 }; /* saflip.annealing.METROPOLIS and COIN */
-enum { RUN_OK = 0, RUN_NONPOSITIVE_TEMPERATURE = 1, RUN_NO_MEMORY = 2 };
+enum { RUN_OK = 0, RUN_NO_MEMORY = 1 };
 
 /* `accept` of tests/reference.py with the same draws: 1 to accept, 0 to
- * reject, -1 when METROPOLIS meets t <= 0 (after its draw, as Python
- * raises). */
+ * reject.  A temperature that has underflowed to 0 gives exp(-inf) = 0 for
+ * a worse neighbor: the greedy limit. */
 static int accept(int rule, Rng *r, double delta_y, double t)
 {
-    double u;
     if (rule == COIN) {
         double p = random_double(r);
         return random_double(r) < p;
     }
-    u = random_double(r);
-    if (!(t > 0))
-        return -1;
-    return u < (delta_y <= 0 ? 1.0 : exp(-delta_y / t));
+    return random_double(r) < (delta_y <= 0 ? 1.0 : exp(-delta_y / t));
 }
 
 /* One run of `_run_loop` under `rule` on the clauses in lits and starts (see
@@ -318,7 +314,6 @@ int saflip_run(int n, int m, const int *lits, const int *starts,
     for (k = 0; k < mni; k++) {
         double t = t0 * pow(alpha, (double)k);
         for (step = 0; step < m_steps; step++) {
-            int a;
             copy_state(&f, neighbor, state);
             apply_flip(&f, neighbor, randbelow(&rng, n) + 1);
             flip(&f, neighbor, &rng, perm);
@@ -335,12 +330,7 @@ int saflip_run(int n, int m, const int *lits, const int *starts,
                 best_unsat = state->unsat;
                 memcpy(best_values, state->values, (size_t)n * sizeof(int));
             }
-            a = accept(rule, &rng, (double)neighbor->unsat / m - (double)state->unsat / m, t);
-            if (a < 0) {
-                status = RUN_NONPOSITIVE_TEMPERATURE;
-                goto done;
-            }
-            if (a) {
+            if (accept(rule, &rng, (double)neighbor->unsat / m - (double)state->unsat / m, t)) {
                 State *tmp = state;
                 state = neighbor;
                 neighbor = tmp;

@@ -26,8 +26,6 @@ CACHE_DIR = Path(__file__).with_name("__pycache__")
 # No -march and no -ffast-math: the run must round exactly as Python does.
 CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
-_NONPOSITIVE_TEMPERATURE = 1
-
 
 def _compiler():
     """The C compiler command CPython was built with."""
@@ -152,8 +150,6 @@ def run(fn, formula, params, rule):
         params.seed, rule, float(params.t0), float(params.alpha),
         params.m_steps, params.mni, best.buffer_info()[0], out.buffer_info()[0],
     )
-    if status == _NONPOSITIVE_TEMPERATURE:
-        raise ValueError("temperature must be positive")
     if status:
         raise MemoryError("C kernel could not allocate its run state")
     return tuple(best), *out

@@ -14,7 +14,10 @@ class SolverParams:
     """Run parameters shared by the annealer and the placebo solver.
 
     The placebo ignores t0 and alpha; it inherits only m_steps and mni so the
-    two solvers spend the same Flip budget.
+    two solvers spend the same Flip budget.  Level k's temperature t0 *
+    alpha**k reaches 0.0 only by underflow; such a level accepts only
+    neighbors that are no worse.  The kernel's only failure is an allocation
+    failure (MemoryError).
     """
 
     t0: float = 51.71

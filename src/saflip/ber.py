@@ -16,10 +16,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 
-class PairingError(ValueError):
-    """The two result matrices do not describe the same paired experiment."""
-
-
 def group_rows(group_keys):
     """(label, row indices) for each distinct group key, numerically sorted,
     then ("overall", every row)."""
@@ -69,15 +65,15 @@ class ResultMatrix:
 
 
 def check_paired(a, b):
-    """Raise PairingError unless the matrices share instances and seeds."""
+    """Raise ValueError unless the matrices share instances and seeds."""
     if a.instance_ids != b.instance_ids:
-        raise PairingError("instance id lists differ")
+        raise ValueError("instance id lists differ")
     if a.num_runs != b.num_runs:
-        raise PairingError(f"run counts differ: {a.num_runs} vs {b.num_runs}")
+        raise ValueError(f"run counts differ: {a.num_runs} vs {b.num_runs}")
     if a.seeds != b.seeds:
-        raise PairingError("seed matrices differ elementwise")
+        raise ValueError("seed matrices differ elementwise")
     if a.group_keys != b.group_keys:
-        raise PairingError("instance group keys differ")
+        raise ValueError("instance group keys differ")
 
 
 @dataclass(frozen=True)

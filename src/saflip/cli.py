@@ -3,12 +3,14 @@ tables, drive tuning, and render reports.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage/validation error.  stdout
 carries machine-readable JSON (paths of produced artifacts); human-readable
-progress and tables go to stderr.
+progress and tables go to stderr.  Each `cmd_*` returns its stdout document
+or raises; `main` alone prints the document and picks the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -17,14 +19,8 @@ import sys
 from pathlib import Path
 
 from . import _kernel, harness
-from .ber import (
-    ber_grouped,
-    check_deltas,
-    check_paired,
-    read_result_csv,
-    write_ber_tables,
-    write_result_csv,
-)
+from .ber import (ber_grouped, check_deltas, check_paired, read_result_csv, write_ber_tables,
+                  write_result_csv)
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -33,13 +29,25 @@ EXIT_USAGE = 2
 SATLIB_ARCHIVES = ("uf50-218", "uf75-325", "uf100-430", "uf125-538")
 SATLIB_BASE_URL = "https://www.cs.ubc.ca/~hoos/SATLIB/Benchmarks/SAT/RND3SAT"
 
+CONFIG_ERRORS = (ValueError, RuntimeError)  # a bad value, or a kernel that cannot be built
+
+
+class _Exit(Exception):
+    """`_Exit(code, message)` ends a command: `main` prints the message to
+    stderr and returns the code."""
+
+
+@contextlib.contextmanager
+def _exit_on(errors, code, prefix):
+    """Turn an `errors` exception of the block into `_Exit(code, "<prefix>: <error>")`."""
+    try:
+        yield
+    except errors as exc:
+        raise _Exit(code, f"{prefix}: {exc}") from exc
+
 
 def _err(msg):
     print(msg, file=sys.stderr)
-
-
-def _emit(doc):
-    print(json.dumps(doc))
 
 
 def _write_manifest(instances, path):
@@ -49,7 +57,6 @@ def _write_manifest(instances, path):
 
 def cmd_fetch(args):
     cache = Path(args.cache_dir)
-    cache.mkdir(parents=True, exist_ok=True)
     sources = args.source or [f"{SATLIB_BASE_URL}/{a}.tar.gz" for a in SATLIB_ARCHIVES]
     fetched = []
     for source in sources:
@@ -61,84 +68,65 @@ def cmd_fetch(args):
             else:
                 import urllib.request
 
+                cache.mkdir(parents=True, exist_ok=True)
                 part = dest.with_suffix(dest.suffix + ".part")
+                _err(f"downloading {source}")
                 try:
-                    _err(f"downloading {source}")
-                    with urllib.request.urlopen(source, timeout=60) as resp, open(
-                        part, "wb"
-                    ) as out:
-                        out.write(resp.read())
+                    with urllib.request.urlopen(source, timeout=60) as resp:
+                        part.write_bytes(resp.read())
                     part.rename(dest)
-                except Exception as exc:
+                except Exception as exc:  # http.client's errors are not OSError
                     part.unlink(missing_ok=True)
-                    _err(f"fetch failed for {source}: {exc}")
-                    return EXIT_USAGE
+                    raise _Exit(EXIT_USAGE, f"fetch failed for {source}: {exc}") from exc
             fetched.append(dest)
         else:
             path = Path(source)
             if not path.exists():
-                _err(f"no such benchmark source: {source}")
-                return EXIT_USAGE
+                raise _Exit(EXIT_USAGE, f"no such benchmark source: {source}")
             fetched.append(path)
-    try:
+    with _exit_on(ValueError, EXIT_USAGE, "ingest failed"):
         instances = harness.ingest_benchmarks(
-            fetched, validate_phase_transition=not args.no_validate
-        )
-    except ValueError as exc:
-        _err(f"ingest failed: {exc}")
-        return EXIT_USAGE
+            fetched, validate_phase_transition=not args.no_validate)
+    cache.mkdir(parents=True, exist_ok=True)
     _write_manifest(instances, cache / "manifest.json")
     groups = sorted({inst.group for inst in instances})
     _err(f"ingested {len(instances)} instances in groups {groups}")
-    _emit({"manifest": str(cache / "manifest.json"), "groups": groups})
-    return EXIT_OK
+    return {"manifest": str(cache / "manifest.json"), "groups": groups}
 
 
 def _load_plan(args):
     """(plan, output directory) of the --config file, with --seed and --out
     applied.  Also loads the C kernel, so that a kernel that cannot be built
-    is reported, as ValueError, before any output exists."""
+    raises RuntimeError before any output exists."""
     config = harness.ExperimentConfig.from_file(args.config)
     if args.seed is not None:
         config.master_seed = args.seed
     plan, _ = config.build_plan()
-    try:
-        _kernel.load()
-    except RuntimeError as exc:
-        raise ValueError(str(exc)) from exc
+    _kernel.load()
     return plan, Path(args.out or config.out_dir)
 
 
 def cmd_run(args):
-    try:
+    with _exit_on(CONFIG_ERRORS, EXIT_USAGE, "config error"):
         algorithms = harness.check_algorithms(args.algorithms.split(","))
         if args.jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         plan, out_dir = _load_plan(args)
-    except ValueError as exc:
-        _err(f"config error: {exc}")
-        return EXIT_USAGE
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(plan.instances, out_dir / "manifest.json")
     journal = out_dir / "journal.jsonl"
     if journal.exists() and not args.resume:
         journal.unlink()
 
     def progress(rec, position, total):
-        _err(
-            f"[{position}/{total}] {rec['algorithm']} {rec['instance_id']} "
-            f"run {rec['run_index']}: y={rec.get('y', 'FAILED')}"
-        )
+        _err(f"[{position}/{total}] {rec['algorithm']} {rec['instance_id']} "
+             f"run {rec['run_index']}: y={rec.get('y', 'FAILED')}")
 
-    try:
-        matrices, failed = harness.execute(
-            plan, algorithms=algorithms, jobs=args.jobs,
-            journal_path=journal, progress=progress,
-        )
-    except Exception as exc:
-        _err(f"experiment failed: {exc}")
-        return EXIT_RUNTIME
+    with _exit_on(Exception, EXIT_RUNTIME, "experiment failed"):
+        matrices, failed = harness.execute(plan, algorithms=algorithms, jobs=args.jobs,
+                                           journal_path=journal, progress=progress)
+    # Only now: a resume that `execute` refuses leaves the old manifest.
+    _write_manifest(plan.instances, out_dir / "manifest.json")
     if failed:
         _err(f"WARNING: {len(failed)} failed cells excluded from both matrices: {failed}")
 
@@ -152,16 +140,16 @@ def cmd_run(args):
         harness.summarize(matrices["sa"], matrices["placebo"], deltas=plan.deltas,
                           out_dir=out_dir)
         paths["summary"] = str(out_dir / "summary.json")
-    _emit(paths)
-    return EXIT_OK
+    return paths
 
 
 def _read_inputs(args):
     """The --delta list and the paired result matrices of `ber` and `report`."""
-    deltas = check_deltas(args.delta.split(","))
-    ym = read_result_csv(args.results_m)
-    y0 = read_result_csv(args.results_0)
-    check_paired(ym, y0)
+    with _exit_on((ValueError, OSError), EXIT_USAGE, "bad --delta or result file pair"):
+        deltas = check_deltas(args.delta.split(","))
+        ym = read_result_csv(args.results_m)
+        y0 = read_result_csv(args.results_0)
+        check_paired(ym, y0)
     return deltas, ym, y0
 
 
@@ -173,54 +161,27 @@ def _print_ber_table(reports, delta):
 
 
 def cmd_ber(args):
-    try:
-        deltas, ym, y0 = _read_inputs(args)
-    except Exception as exc:
-        _err(f"bad --delta or result file pair: {exc}")
-        return EXIT_USAGE
+    deltas, ym, y0 = _read_inputs(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     tables = {delta: ber_grouped(ym, y0, delta) for delta in deltas}
     paths = write_ber_tables(tables, out_dir)
     for delta, reports in tables.items():
         _print_ber_table(reports, delta)
-    _emit(paths)
-    return EXIT_OK
+    return paths
 
 
 def cmd_report(args):
-    try:
-        deltas, ym, y0 = _read_inputs(args)
-    except Exception as exc:
-        _err(f"bad --delta or result file pair: {exc}")
-        return EXIT_USAGE
+    deltas, ym, y0 = _read_inputs(args)
     out_dir = Path(args.out)
-    try:
-        harness.summarize(ym, y0, deltas=deltas, out_dir=out_dir)
-    except Exception as exc:
-        _err(f"report failed: {exc}")
-        return EXIT_RUNTIME
-    _emit({
-        "summary": str(out_dir / "summary.json"),
-        "plots": str(out_dir / "plots"),
-    })
-    return EXIT_OK
-
-
-def _mean_score(plan):
-    """Mean SA score over every cell of the plan, run by the harness at
-    jobs=1 without a journal; a failed cell raises."""
-    matrices, failed = harness.execute(plan, algorithms=("sa",))
-    if failed:
-        raise RuntimeError(f"failed cells (instance, run): {failed}")
-    ys = [y for row in matrices["sa"].scores for y in row]
-    return math.fsum(ys) / len(ys)
+    harness.summarize(ym, y0, deltas=deltas, out_dir=out_dir)
+    return {"summary": str(out_dir / "summary.json"), "plots": str(out_dir / "plots")}
 
 
 def cmd_tune(args):
     from . import doe
 
-    try:
+    with _exit_on(CONFIG_ERRORS, EXIT_USAGE, "config error"):
         if not 0 <= args.dead_band < math.inf:
             raise ValueError(f"--dead-band must be a finite number >= 0, got {args.dead_band}")
         plan, out_dir = _load_plan(args)
@@ -230,36 +191,39 @@ def cmd_tune(args):
         else:
             # The walk's first design must already lie inside the bounds.
             doe.fractional_factorial_2_4_1(plan.params)
-    except ValueError as exc:
-        _err(f"config error: {exc}")
-        return EXIT_USAGE
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    # Seed block b is run indices b*runs .. b*runs + runs-1.  Every screen
+    # row runs block 0 (common random numbers); RSM evaluation b = 1, 2, ...
+    # runs the fresh block b.
+    blocks = itertools.repeat(0) if args.phase == "screen" else itertools.count(1)
+
+    def mean_score(params):
+        """Mean SA score over every cell of the plan at `params` on the next
+        seed block, run by the harness at jobs=1 without a journal; a failed
+        cell raises RuntimeError."""
+        block = dataclasses.replace(plan, params=params, first_run=next(blocks) * args.runs)
+        matrices, failed = harness.execute(block, algorithms=("sa",))
+        if failed:
+            raise RuntimeError(f"failed cells (instance, run): {failed}")
+        ys = [y for row in matrices["sa"].scores for y in row]
+        return math.fsum(ys) / len(ys)
+
     if args.phase == "screen":
-        # Common random numbers: every row uses run indices 0..runs-1.
-        responses = []
-        journal = []
-        try:
+        rows = []
+        with _exit_on(RuntimeError, EXIT_RUNTIME, "tuning failed"):
             for row, params in zip(design.coded_rows, design.decoded):
-                y = _mean_score(dataclasses.replace(plan, params=params))
-                responses.append(y)
-                journal.append({
-                    "coded": list(row),
-                    "params": dataclasses.asdict(params),
-                    "mean_y": y,
-                })
-                _err(f"screen row {row}: mean y = {y:.6f}")
-        except RuntimeError as exc:
-            _err(f"tuning failed: {exc}")
-            return EXIT_RUNTIME
-        effects = doe.estimate_effects(design, responses)
+                rows.append({"coded": list(row), "params": dataclasses.asdict(params),
+                             "mean_y": mean_score(params)})
+                _err(f"screen row {row}: mean y = {rows[-1]['mean_y']:.6f}")
+        effects = doe.estimate_effects(design, [rec["mean_y"] for rec in rows])
         doc = {
             "design": "box-behnken-4",
             "center_points": doe.CENTER_POINTS,
             "seed_blocking": "common random numbers across rows",
             "response_aggregation": "mean over all instance runs "
             "(alternative: mean of per-instance means)",
-            "rows": journal,
+            "rows": rows,
             "intercept": effects.intercept,
             "main_effects": effects.main_effects,
             "interactions": effects.interactions,
@@ -267,36 +231,22 @@ def cmd_tune(args):
         path = out_dir / "screening_effects.json"
         path.write_text(json.dumps(doc, indent=2) + "\n")
         _err("main effects: " + json.dumps(effects.main_effects))
-        _emit({"screening": str(path)})
-        return EXIT_OK
-
-    # RSM phase: evaluation b = 1, 2, ... runs on the fresh seed block
-    # b*runs .. b*runs + runs-1 (block 0 is the screen's).
-    blocks = itertools.count(1)
-
-    def evaluate(params):
-        first_run = next(blocks) * args.runs
-        return _mean_score(
-            dataclasses.replace(plan, params=params, first_run=first_run)
-        )
+        return {"screening": str(path)}
 
     trace_path = out_dir / "rsm_trace.json"
     trace = []
     try:
-        final = doe.rsm_walk(plan.params, evaluate, trace, budget_limit=args.budget_limit,
+        final = doe.rsm_walk(plan.params, mean_score, trace, budget_limit=args.budget_limit,
                              dead_band=args.dead_band)
     except RuntimeError as exc:
-        _err(f"tuning failed (evaluator failed: {exc}); partial trace at {trace_path}")
-        return EXIT_RUNTIME
+        raise _Exit(EXIT_RUNTIME, f"tuning failed (evaluator failed: {exc}); "
+                                  f"partial trace at {trace_path}") from exc
     finally:
         trace_path.write_text(json.dumps(trace, indent=2) + "\n")
     params_path = out_dir / "tuned_params.json"
-    params_path.write_text(
-        json.dumps({"params": dataclasses.asdict(final)}, indent=2) + "\n"
-    )
+    params_path.write_text(json.dumps({"params": dataclasses.asdict(final)}, indent=2) + "\n")
     _err(f"final center: {final}")
-    _emit({"trace": str(trace_path), "params": str(params_path)})
-    return EXIT_OK
+    return {"trace": str(trace_path), "params": str(params_path)}
 
 
 def build_parser():
@@ -350,15 +300,26 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run the command of `argv`; print its JSON document on stdout and
+    return 0, or print why it failed on stderr and return 1 or 2."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        doc = args.func(args)
+    except _Exit as exc:
+        code, message = exc.args
+        _err(message)
+        return code
+    except OSError as exc:  # an output that cannot be written
+        _err(f"{args.command} failed: {exc}")
+        return EXIT_RUNTIME
     except KeyboardInterrupt:
         return EXIT_RUNTIME
+    print(json.dumps(doc))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -39,10 +39,6 @@ DEFAULT_RUNS_PER_INSTANCE = 30
 TRAIN_PER_GROUP = 20
 
 
-class BenchmarkError(ValueError):
-    pass
-
-
 @dataclass
 class BenchmarkInstance:
     formula: CnfFormula
@@ -79,10 +75,10 @@ def manifest(instances):
 def _validate_phase_transition(formula, origin):
     lo, hi = PHASE_TRANSITION_RATIO
     if any(len(c) != 3 for c in formula.clauses):
-        raise BenchmarkError(f"{origin}: not a 3-CNF formula")
+        raise ValueError(f"{origin}: not a 3-CNF formula")
     ratio = formula.num_clauses / formula.num_vars
     if not lo <= ratio <= hi:
-        raise BenchmarkError(
+        raise ValueError(
             f"{origin}: clause/variable ratio {ratio:.3f} outside [{lo}, {hi}]"
         )
 
@@ -97,10 +93,10 @@ def _iter_cnf_texts(source):
                 yield from _iter_cnf_texts(child)
         return
     if not path.is_file():
-        raise BenchmarkError(f"unreadable benchmark source: {source}")
+        raise ValueError(f"unreadable benchmark source: {source}")
     name = path.name
     if not name.endswith(SOURCE_SUFFIXES):
-        raise BenchmarkError(f"unsupported benchmark source: {source}")
+        raise ValueError(f"unsupported benchmark source: {source}")
     # tarfile and gzip are imported only where an archive is read: a plain
     # .cnf needs neither, and `import saflip.cli` stays lighter without them.
     errors = (UnicodeDecodeError, EOFError, OSError)
@@ -120,7 +116,7 @@ def _iter_cnf_texts(source):
         else:
             yield name, path.read_text()
     except errors as exc:
-        raise BenchmarkError(f"{source}: {exc}") from exc
+        raise ValueError(f"{source}: {exc}") from exc
 
 
 @functools.cache
@@ -152,7 +148,7 @@ def _parse(name, text, instance_id):
     try:
         formula = parse_dimacs(text, source_id=instance_id)
     except DimacsError as exc:
-        raise BenchmarkError(f"{name}: {exc}") from exc
+        raise ValueError(f"{name}: {exc}") from exc
     digest = formula.digest()
     data = marshal.dumps((formula.num_vars, formula.clauses, digest))
     try:
@@ -184,7 +180,7 @@ def ingest_benchmarks(sources, validate_phase_transition=True):
             if digest in digests:
                 continue
             if instance_id in ids:
-                raise BenchmarkError(f"duplicate instance id {instance_id!r}")
+                raise ValueError(f"duplicate instance id {instance_id!r}")
             digests.add(digest)
             ids.add(instance_id)
             collected.append(
@@ -193,7 +189,7 @@ def ingest_benchmarks(sources, validate_phase_transition=True):
     if wrote_any:  # once per call: a scan per entry would be quadratic
         _kernel.prune("_dimacs.*.marshal", f"_dimacs.{_parser_version()}.")
     if not collected:
-        raise BenchmarkError(f"no .cnf instances found in {sources}")
+        raise ValueError(f"no .cnf instances found in {sources}")
     collected.sort(key=lambda inst: (inst.group, inst.instance_id))
     return collected
 
@@ -205,7 +201,7 @@ def split_train_test(instances, master_seed):
     for group in sorted({i.group for i in instances}):
         members = [i for i in instances if i.group == group]
         if len(members) < TRAIN_PER_GROUP:
-            raise BenchmarkError(
+            raise ValueError(
                 f"group n={group} has {len(members)} instances, "
                 f"need >= {TRAIN_PER_GROUP} for the split"
             )
@@ -565,7 +561,7 @@ class ExperimentConfig:
             per_group[inst.group] = count + 1
             picked.append(inst)
         if not picked:
-            raise BenchmarkError("no instances left after filtering")
+            raise ValueError("no instances left after filtering")
         return ExperimentPlan(
             instances=picked,
             n_runs=self.n_runs,

@@ -17,12 +17,12 @@ from saflip.flip import flip
 
 
 def acceptance_probability(delta_y, t):
-    """Metropolis acceptance probability at temperature t (> 0)."""
-    if not t > 0:
-        raise ValueError("temperature must be positive")
+    """Metropolis acceptance probability at temperature t >= 0.  T = t0 *
+    alpha**k reaches 0.0 only by underflow; there only a neighbor that is no
+    worse is accepted, the greedy limit of exp(-delta_y / t)."""
     if delta_y <= 0:
         return 1.0
-    return math.exp(-delta_y / t)
+    return math.exp(-delta_y / t) if t > 0 else 0.0
 
 
 def accept(rule, rng, delta_y, t):

@@ -26,11 +26,13 @@ class TestAcceptanceProbability:
     def test_high_temperature_limit(self):
         assert acceptance_probability(0.05, 1e6) > 0.9999
 
-    def test_rejects_nonpositive_temperature(self):
-        with pytest.raises(ValueError):
-            acceptance_probability(0.1, 0.0)
-        with pytest.raises(ValueError):
-            acceptance_probability(0.1, -1.0)
+    def test_zero_temperature_is_the_greedy_limit(self):
+        # T = t0 * alpha**k reaches 0.0 only by underflow; there, as at
+        # t = 1e-300, only a neighbor that is no worse is accepted.
+        assert acceptance_probability(0.0, 0.0) == 1.0
+        assert acceptance_probability(-0.1, 0.0) == 1.0
+        assert acceptance_probability(0.1, 0.0) == 0.0
+        assert acceptance_probability(5e-324, 0.0) == 0.0
 
     def test_greedy_degeneration_at_tiny_temperature(self):
         rng = random.Random(0)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from saflip.ber import (
     CSV_COLUMNS,
-    PairingError,
     ResultMatrix,
     _count_rows,
     ber_grouped,
@@ -110,10 +109,10 @@ class TestPairwise:
     def test_unpaired_rejected(self):
         a = make_matrix([[0.1, 0.2]])
         b = make_matrix([[0.1, 0.2]], seed_base=5)
-        with pytest.raises(PairingError):
+        with pytest.raises(ValueError, match="seed matrices differ elementwise"):
             ber_grouped(a, b, 0.0)
         c = make_matrix([[0.1, 0.2, 0.3]])
-        with pytest.raises(PairingError):
+        with pytest.raises(ValueError, match="run counts differ: 2 vs 3"):
             ber_grouped(a, c, 0.0)
 
     def test_matches_oracle_randomized(self):

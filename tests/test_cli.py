@@ -8,7 +8,7 @@ import pytest
 
 from saflip import _kernel, harness
 from saflip.cli import main
-from saflip.ber import read_result_csv
+from saflip.ber import ResultMatrix, read_result_csv, write_result_csv
 
 from conftest import DATA_DIR, run_python
 from test_harness import write_toy_instances
@@ -103,6 +103,42 @@ class TestRun:
             f"{harness.derive_seed(2, digest, 0)} for it\n"
         )
         assert journal.read_bytes() == before
+
+    def test_refused_resume_leaves_the_output_files_as_they_were(self, tmp_path, capsys):
+        config = make_config(tmp_path)
+        code, _, _ = run_cli(capsys, "run", "--config", str(config))
+        assert code == 0
+        out_dir = tmp_path / "out"
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()}
+        # Negating one literal changes the instance's digest, so its seeds.
+        cnf = tmp_path / "toy" / "toy6-00.cnf"
+        lines = cnf.read_text().split("\n")
+        i = next(k for k, line in enumerate(lines) if line and line[0] not in "cp")
+        first, rest = lines[i].split(" ", 1)
+        lines[i] = f"{-int(first)} {rest}"
+        cnf.write_text("\n".join(lines))
+        code, out, err = run_cli(capsys, "run", "--config", str(config), "--resume")
+        assert (code, out) == (1, "")
+        assert err.startswith("experiment failed: journal cell (sa, toy6-00, run 0) has seed ")
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()} == before
+
+    def test_temperature_underflow_is_the_greedy_limit(self, tmp_path, capsys):
+        # 51.71 * 0.5**k underflows to 0.0 at k = 1075, before the last of
+        # the 1100 levels; the clauses x1 and -x1 keep the run unsolved.
+        (tmp_path / "f.cnf").write_text("p cnf 3 3\n1 0\n-1 0\n2 3 0\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "benchmarks": "f.cnf", "out_dir": "out", "n_runs": 2,
+            "validate_phase_transition": False,
+            "params": {"alpha": 0.5, "m_steps": 1, "mni": 1100},
+        }))
+        code, out, err = run_cli(capsys, "run", "--config", str(config))
+        assert code == 0, err
+        assert "WARNING" not in err
+        records = [json.loads(line) for line in
+                   (tmp_path / "out" / "journal.jsonl").read_text().splitlines()]
+        assert [(rec["algorithm"], rec["iterations"], rec["y"]) for rec in records] == [
+            (algo, 1100, 1 / 3) for _ in range(2) for algo in ("sa", "placebo")]
 
     def test_resume_after_torn_journal_line(self, tmp_path, capsys):
         whole = make_config(tmp_path / "whole")
@@ -553,6 +589,14 @@ class TestFetch:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("source", ["missing", "bad.cnf"])
+    def test_failed_fetch_leaves_no_cache_dir(self, tmp_path, capsys, source):
+        (tmp_path / "bad.cnf").write_bytes(b"p cnf 2 1\n1 1 2 0\n")
+        code, out, _ = run_cli(capsys, "fetch", str(tmp_path / source),
+                               "--cache-dir", str(tmp_path / "fc"), "--no-validate")
+        assert (code, out) == (2, "")
+        assert not (tmp_path / "fc").exists()
+
     def test_bad_url_exits_2_without_partial_state(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         code, _, err = run_cli(
@@ -608,3 +652,96 @@ def test_import_leaves_out_what_only_some_commands_use():
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def write_result_pair(tmp_path):
+    """Paths of two paired result CSVs over one instance and two runs."""
+    paths = []
+    for label, scores in (("sa", [0.0, 0.5]), ("placebo", [0.25, 0.0])):
+        path = tmp_path / f"results_{label}.csv"
+        write_result_csv(ResultMatrix(["a"], [3], [[1, 2]], [scores], label), path)
+        paths.append(str(path))
+    return paths
+
+
+def existing_file(tmp_path):
+    path = tmp_path / "afile"
+    path.write_text("")
+    return str(path)
+
+
+def solver_raising(monkeypatch, exc):
+    def solver(formula, params):
+        raise exc
+
+    monkeypatch.setitem(harness.ALGORITHMS, "sa", solver)
+
+
+def bad_dimacs_fetch(tmp, mp):
+    (tmp / "bad.cnf").write_bytes(b"p cnf 2 1\n1 1 2 0\n")
+    return ["fetch", str(tmp / "bad.cnf"), "--cache-dir", str(tmp / "cache"), "--no-validate"]
+
+
+def failing_tune(tmp, mp):
+    solver_raising(mp, RuntimeError("boom"))
+    return ["tune", "--config", str(make_config(tmp)), "--phase", "screen", "--runs", "1",
+            "--out", str(tmp / "tune")]
+
+
+def interrupted_run(tmp, mp):
+    solver_raising(mp, KeyboardInterrupt())
+    return ["run", "--config", str(make_config(tmp))]
+
+
+# case: (argv of the command given tmp_path and monkeypatch, exit code,
+# prefix of the last stderr line or None for an empty stderr)
+FAILURES = {
+    "ber-missing-csv": (
+        lambda tmp, mp: ["ber", str(tmp / "nope.csv"), str(tmp / "nope.csv"),
+                         "--out", str(tmp / "ber")],
+        2, "bad --delta or result file pair: "),
+    "report-missing-csv": (
+        lambda tmp, mp: ["report", str(tmp / "nope.csv"), str(tmp / "nope.csv"),
+                         "--out", str(tmp / "report")],
+        2, "bad --delta or result file pair: "),
+    "fetch-missing-source": (
+        lambda tmp, mp: ["fetch", str(tmp / "missing"), "--cache-dir", str(tmp / "cache")],
+        2, "no such benchmark source: "),
+    "fetch-bad-dimacs": (bad_dimacs_fetch, 2, "ingest failed: "),
+    # Nothing listens on port 1 of the loopback address: the connection is refused.
+    "fetch-bad-url": (
+        lambda tmp, mp: ["fetch", "http://127.0.0.1:1/x.tar.gz",
+                         "--cache-dir", str(tmp / "cache")],
+        2, "fetch failed for http://127.0.0.1:1/x.tar.gz: "),
+    "report-out-existing-file": (
+        lambda tmp, mp: ["report", *write_result_pair(tmp), "--out", existing_file(tmp)],
+        1, "report failed: [Errno 20] Not a directory: "),
+    "tune-failing-solver": (failing_tune, 1, "tuning failed: "),
+    "run-out-existing-file": (
+        lambda tmp, mp: ["run", "--config", str(make_config(tmp)), "--out", existing_file(tmp)],
+        1, "run failed: [Errno 17] File exists: "),
+    "ber-out-existing-file": (
+        lambda tmp, mp: ["ber", *write_result_pair(tmp), "--out", existing_file(tmp)],
+        1, "ber failed: [Errno 17] File exists: "),
+    "tune-out-existing-file": (
+        lambda tmp, mp: ["tune", "--config", str(make_config(tmp)), "--phase", "screen",
+                         "--out", existing_file(tmp)],
+        1, "tune failed: [Errno 17] File exists: "),
+    "keyboard-interrupt": (interrupted_run, 1, None),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILURES))
+def test_failure_contract(tmp_path, capsys, monkeypatch, case):
+    """Each failure ends in its exit code and an empty stdout; stderr closes
+    with one line of the case's prefix and holds no traceback."""
+    argv, code, prefix = FAILURES[case]
+    got, out, err = run_cli(capsys, *argv(tmp_path, monkeypatch))
+    assert (got, out) == (code, ""), err
+    assert "Traceback" not in err
+    if prefix is None:
+        assert err == ""
+    else:
+        assert err.splitlines()[-1].startswith(prefix), err
+    if case.endswith("-out-existing-file"):
+        assert len(err.splitlines()) == 1

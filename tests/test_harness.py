@@ -11,7 +11,6 @@ from saflip import _kernel, harness
 from saflip.annealing import RunOutcome, SolverParams
 from saflip.cnf import parse_dimacs, serialize_dimacs
 from saflip.harness import (
-    BenchmarkError,
     ExperimentConfig,
     ExperimentPlan,
     derive_seed,
@@ -67,12 +66,12 @@ class TestIngest:
         assert all({"digest", "n", "m", "instance_id"} <= set(e) for e in entries)
 
     def test_empty_directory_is_error(self, tmp_path):
-        with pytest.raises(BenchmarkError):
+        with pytest.raises(ValueError, match="no .cnf instances found in "):
             ingest_benchmarks(tmp_path)
 
     def test_non_3cnf_rejected_when_validating(self, tmp_path):
         (tmp_path / "bad.cnf").write_text("p cnf 3 1\n1 2 0\n")
-        with pytest.raises(BenchmarkError, match="3-CNF"):
+        with pytest.raises(ValueError, match="3-CNF"):
             ingest_benchmarks(tmp_path)
         instances = ingest_benchmarks(tmp_path, validate_phase_transition=False)
         assert len(instances) == 1
@@ -81,7 +80,7 @@ class TestIngest:
         rng = random.Random(1)
         f = random_3cnf(10, 20, rng, source_id="sparse")
         (tmp_path / "sparse.cnf").write_text(serialize_dimacs(f))
-        with pytest.raises(BenchmarkError, match="ratio"):
+        with pytest.raises(ValueError, match="ratio"):
             ingest_benchmarks(tmp_path)
 
     def test_archive_and_directory_union_dedup(self, tmp_path):
@@ -222,7 +221,7 @@ class TestParseCache:
     def test_bad_file_is_named_on_cold_and_warm_cache(self, cache_dir, tmp_path, name, text):
         (tmp_path / name).write_text(text)
         for _ in range(2):
-            with pytest.raises(BenchmarkError, match=name):
+            with pytest.raises(ValueError, match=name):
                 ingest_benchmarks(tmp_path / name)
         assert len(entries(cache_dir)) == (name == "sparse.cnf")
 
@@ -250,7 +249,7 @@ class TestSplit:
     def test_too_few_instances(self, tmp_path):
         toy = write_toy_instances(tmp_path, per_group=19)
         instances = ingest_benchmarks(toy, validate_phase_transition=False)
-        with pytest.raises(BenchmarkError, match="19"):
+        with pytest.raises(ValueError, match="19"):
             split_train_test(instances, master_seed=1)
 
 

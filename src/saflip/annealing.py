@@ -27,19 +27,20 @@ class SolverParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.t0 > 0:
-            raise ValueError("t0 must be positive")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must be in (0, 1)")
+        # bool is a subclass of int: True would pass below as 1.
+        if isinstance(self.t0, bool) or not self.t0 > 0:
+            raise ValueError("t0 must be a positive number")
+        if isinstance(self.alpha, bool) or not 0 < self.alpha < 1:
+            raise ValueError("alpha must be a number in (0, 1)")
         # Both counts reach the C kernel as 64-bit integers.
         for name in ("m_steps", "mni"):
             value = getattr(self, name)
-            if not isinstance(value, int) or not 1 <= value < 2**63:
+            if type(value) is not int or not 1 <= value < 2**63:
                 raise ValueError(f"{name} must be an integer in [1, 2**63)")
         # The kernel takes the seed as a uint64 and seeds its generator as
         # `random.Random` does from an int; Random seeds a float or a str
         # from its hash or its sha512, which the kernel does not.
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an integer in [0, 2**64)")
 
 
@@ -49,19 +50,16 @@ class RunOutcome:
     best_score: float
     flip_calls: int
     iterations_completed: int
-    solved: bool
     wall_time: float
     # Minimum score over every solution evaluated during the run.  The
     # best-tracking rule compares the incumbent, not the freshly evaluated
     # neighbor, so best_score can exceed this when a better neighbor was
     # evaluated but immediately replaced.
-    min_evaluated_score: float = float("nan")
+    min_evaluated_score: float
 
-    def __post_init__(self):
-        if self.solved != (self.best_score == 0.0):
-            raise ValueError(
-                f"solved={self.solved} contradicts best_score={self.best_score}"
-            )
+    @property
+    def solved(self):
+        return self.best_score == 0.0
 
 
 METROPOLIS, COIN = 0, 1  # acceptance rules, numbered as in `_kernel.c`
@@ -86,7 +84,6 @@ def _run_loop(formula, params, rule):
         best_score=best_unsat / m,
         flip_calls=flip_calls,
         iterations_completed=k,
-        solved=best_unsat == 0,
         wall_time=time.perf_counter() - start,
         min_evaluated_score=min_unsat / m,
     )

@@ -78,15 +78,30 @@ def check_paired(a, b):
 
 @dataclass(frozen=True)
 class BerReport:
+    """The b and r counts of one group's `comparisons` ordered run pairs at
+    `delta`; e counts the rest, and b, e and r are the counts' fractions."""
+
+    group: str
     delta: float
-    b: float
-    e: float
-    r: float
+    b_count: int
+    r_count: int
     comparisons: int
-    group: str = "overall"
-    b_count: int = 0
-    e_count: int = 0
-    r_count: int = 0
+
+    @property
+    def e_count(self):
+        return self.comparisons - self.b_count - self.r_count
+
+    @property
+    def b(self):
+        return self.b_count / self.comparisons
+
+    @property
+    def e(self):
+        return self.e_count / self.comparisons
+
+    @property
+    def r(self):
+        return self.r_count / self.comparisons
 
     def as_dict(self):
         return {
@@ -115,24 +130,6 @@ def _count_rows(ym_rows, y0_rows, delta):
             b_count += len(lo) - bisect_right(lo, y)
             r_count += bisect_left(hi, y)
     return b_count, r_count
-
-
-def _make_report(ym_rows, y0_rows, delta, group):
-    b_count, r_count = _count_rows(ym_rows, y0_rows, delta)
-    n = len(ym_rows[0])
-    total = len(ym_rows) * n * n
-    e_count = total - b_count - r_count
-    return BerReport(
-        delta=delta,
-        b=b_count / total,
-        e=e_count / total,
-        r=r_count / total,
-        comparisons=total,
-        group=group,
-        b_count=b_count,
-        e_count=e_count,
-        r_count=r_count,
-    )
 
 
 def check_delta(delta):
@@ -174,20 +171,14 @@ def ber_grouped(ym, y0, delta):
     check_delta(delta)
     check_paired(ym, y0)
     return [
-        _make_report(
-            [ym.scores[i] for i in idx], [y0.scores[i] for i in idx], delta, label
+        BerReport(
+            label,
+            delta,
+            *_count_rows([ym.scores[i] for i in idx], [y0.scores[i] for i in idx], delta),
+            comparisons=len(idx) * ym.num_runs**2,
         )
         for label, idx in group_rows(ym.group_keys)
     ]
-
-
-def success_rate(matrix):
-    """Fraction of runs with score exactly 0, per group key plus overall."""
-    rates = {}
-    for label, idx in group_rows(matrix.group_keys):
-        cells = [y for i in idx for y in matrix.scores[i]]
-        rates[label] = sum(1 for y in cells if y == 0.0) / len(cells)
-    return rates
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +210,7 @@ def read_result_csv(path):
     ValueError, naming the line where it can, on any malformed file."""
     rows = {}
     order = []
-    label = ""
+    label = None  # the first row's; every row must carry it
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -234,10 +225,18 @@ def read_result_csv(path):
                         f"{path}: line {reader.line_num}: expected "
                         f"{len(CSV_COLUMNS)} fields, got {len(fields)}"
                     )
-                iid, group, seed, run_index, label, y = fields
+                iid, group, seed, run_index, algo, y = fields
+                label = algo if label is None else label
                 if iid not in rows:
                     rows[iid] = {"group": group, "cells": {}}
                     order.append(iid)
+                if algo != label:
+                    raise ValueError(f"{path}: line {reader.line_num}: algorithm {algo!r}, "
+                                     f"but {label!r} in an earlier row")
+                if group != rows[iid]["group"]:
+                    raise ValueError(f"{path}: line {reader.line_num}: instance {iid!r} in "
+                                     f"group {group!r}, but {rows[iid]['group']!r} in an "
+                                     "earlier row")
                 cells = rows[iid]["cells"]
                 try:
                     j, cell = int(run_index), (int(seed), float(y))

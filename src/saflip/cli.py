@@ -115,8 +115,9 @@ def cmd_run(args):
 
     out_dir.mkdir(parents=True, exist_ok=True)
     journal = out_dir / "journal.jsonl"
-    if journal.exists() and not args.resume:
-        journal.unlink()
+    if not args.resume:
+        journal.unlink(missing_ok=True)
+        harness.remove_derived_files(out_dir)
 
     def progress(rec, position, total):
         _err(f"[{position}/{total}] {rec['algorithm']} {rec['instance_id']} "
@@ -191,7 +192,8 @@ def cmd_tune(args):
         else:
             # The walk's first design must already lie inside the bounds.
             doe.fractional_factorial_2_4_1(plan.params)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    created = not out_dir.exists()
+    out_dir.mkdir(parents=True, exist_ok=True)  # before any row: an --out file fails here
 
     # Seed block b is run indices b*runs .. b*runs + runs-1.  Every screen
     # row runs block 0 (common random numbers); RSM evaluation b = 1, 2, ...
@@ -211,11 +213,19 @@ def cmd_tune(args):
 
     if args.phase == "screen":
         rows = []
-        with _exit_on(RuntimeError, EXIT_RUNTIME, "tuning failed"):
-            for row, params in zip(design.coded_rows, design.decoded):
-                rows.append({"coded": list(row), "params": dataclasses.asdict(params),
-                             "mean_y": mean_score(params)})
-                _err(f"screen row {row}: mean y = {rows[-1]['mean_y']:.6f}")
+        try:
+            with _exit_on(RuntimeError, EXIT_RUNTIME, "tuning failed"):
+                for row, params in zip(design.coded_rows, design.decoded):
+                    rows.append({"coded": list(row), "params": dataclasses.asdict(params),
+                                 "mean_y": mean_score(params)})
+                    _err(f"screen row {row}: mean y = {rows[-1]['mean_y']:.6f}")
+        except BaseException:
+            # The screen writes nothing before its last row, so a directory
+            # this call made is still empty; rmdir removes no other.
+            if created:
+                with contextlib.suppress(OSError):
+                    out_dir.rmdir()
+            raise
         effects = doe.estimate_effects(design, [rec["mean_y"] for rec in rows])
         doc = {
             "design": "box-behnken-4",

@@ -22,7 +22,6 @@ from .ber import (
     check_deltas,
     delta_key,
     group_rows,
-    success_rate,
     write_ber_tables,
 )
 from .cnf import CnfFormula, DimacsError, parse_dimacs
@@ -405,6 +404,19 @@ def _read_journal(path):
     return [json.loads(line) for line in lines if line.strip()]
 
 
+# The files a run derives from its journal: `results_<algorithm>.csv`, then
+# what `summarize` writes.  A run that does not resume removes them first, so
+# none of an earlier run's can stand beside the new run's.
+DERIVED_FILES = ("results_*.csv", "summary.json", "ber_*.csv", "plots/ecdf_*", "plots/hist_*")
+
+
+def remove_derived_files(out_dir):
+    """Remove every `DERIVED_FILES` match under out_dir."""
+    for pattern in DERIVED_FILES:
+        for path in Path(out_dir).glob(pattern):
+            path.unlink()
+
+
 def summarize(ym, y0, out_dir, deltas=DEFAULT_DELTAS):
     """Mean scores, success rates and BER tables per delta of a paired
     matrix pair, written under out_dir (summary.json, ber_<delta>.csv) with
@@ -416,7 +428,9 @@ def summarize(ym, y0, out_dir, deltas=DEFAULT_DELTAS):
         "algorithms": [label for label, _ in pair],
         "mean_y": {label: {group: sum(ys) / len(ys) for group, ys in by_group.items()}
                    for label, by_group in cells.items()},
-        "success_rate": {label: success_rate(m) for label, m in pair},
+        "success_rate": {label: {group: ys.count(0.0) / len(ys)
+                                 for group, ys in by_group.items()}
+                         for label, by_group in cells.items()},
         "ber": {delta_key(delta): [rep.as_dict() for rep in reports]
                 for delta, reports in ber_tables.items()},
     }

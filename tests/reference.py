@@ -60,7 +60,6 @@ def run_loop(formula, params, rule):
             best_score=score,
             flip_calls=flip_calls,
             iterations_completed=iterations,
-            solved=score == 0.0,
             wall_time=0.0,
             min_evaluated_score=min_evaluated,
         )

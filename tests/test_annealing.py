@@ -5,10 +5,10 @@ import random
 import pytest
 
 from reference import accept, acceptance_probability
-from saflip.annealing import COIN, METROPOLIS, RunOutcome, SolverParams, run_sa_flip
+from saflip.annealing import COIN, METROPOLIS, SolverParams, run_sa_flip
 from saflip.cnf import CnfFormula, EvalState
 
-from conftest import PINNED, random_3cnf, run_python, timeless
+from conftest import PINNED, random_3cnf, timeless
 
 UNSAT_PAIR = CnfFormula(1, ((1,), (-1,)), source_id="unsat-pair")
 
@@ -82,31 +82,19 @@ class TestSolverParams:
             # streams that neither 1 nor 7 gives; the kernel takes an int.
             {"seed": 1.5},
             {"seed": "7"},
+            # bool is an int subclass; a config's `true` must not run as 1.
+            {"t0": True},
+            {"alpha": True},
+            {"m_steps": True},
+            {"mni": True},
+            {"seed": True},
+            {"seed": False},
+            {"t0": True, "m_steps": True, "mni": True, "seed": True},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SolverParams(**kwargs)
-
-
-class TestRunOutcome:
-    @pytest.mark.parametrize("solved, score", [(True, 0.5), (False, 0.0)])
-    def test_inconsistent_solved_rejected(self, solved, score):
-        with pytest.raises(ValueError, match="contradicts"):
-            RunOutcome((0,), score, 1, 0, solved, 0.0)
-
-    def test_check_holds_under_optimize_flag(self):
-        # `python -O` strips asserts; the consistency check must not be one.
-        code = (
-            "if __debug__: raise SystemExit(2)\n"
-            "from saflip.annealing import RunOutcome\n"
-            "try:\n"
-            "    RunOutcome((0,), 0.5, 1, 0, True, 0.0)\n"
-            "except ValueError:\n"
-            "    raise SystemExit(0)\n"
-            "raise SystemExit(1)\n"
-        )
-        assert run_python("-O", "-c", code).returncode == 0
 
 
 class TestRunSaFlip:

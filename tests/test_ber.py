@@ -12,7 +12,6 @@ from saflip.ber import (
     ber_grouped,
     group_rows,
     read_result_csv,
-    success_rate,
     write_result_csv,
 )
 
@@ -159,19 +158,6 @@ class TestGrouped:
         ]
 
 
-class TestSuccessRate:
-    def test_all_zero(self):
-        assert success_rate(make_matrix([[0.0, 0.0]]))["overall"] == 1.0
-
-    def test_half(self):
-        assert success_rate(make_matrix([[0.0, 0.5]]))["overall"] == 0.5
-
-    def test_per_group(self):
-        m = make_matrix([[0.0], [0.3]], groups=[50, 75])
-        rates = success_rate(m)
-        assert rates == {"50": 1.0, "75": 0.0, "overall": 0.5}
-
-
 @st.composite
 def paired_matrices(draw):
     l = draw(st.integers(1, 4))
@@ -285,6 +271,18 @@ class TestPersistence:
             "a,50,2,0,sa,0.3\n"
         )
         with pytest.raises(ValueError, match="line 3: duplicate run 0 of instance 'a'"):
+            read_result_csv(path)
+
+    @pytest.mark.parametrize("rows, message", [
+        ("a,50,1,0,sa,0.1\nb,75,2,0,sa,0.2\na,75,3,1,sa,0.3\n",
+         "line 4: instance 'a' in group '75', but '50' in an earlier row"),
+        ("a,50,1,0,sa,0.1\na,50,2,1,placebo,0.3\n",
+         "line 3: algorithm 'placebo', but 'sa' in an earlier row"),
+    ], ids=["group", "algorithm"])
+    def test_csv_rejects_rows_that_disagree(self, tmp_path, rows, message):
+        path = tmp_path / "mixed.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n" + rows)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             read_result_csv(path)
 
 

@@ -122,6 +122,52 @@ class TestRun:
         assert err.startswith("experiment failed: journal cell (sa, toy6-00, run 0) has seed ")
         assert {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()} == before
 
+    def test_run_without_resume_leaves_no_file_of_the_earlier_run(self, tmp_path, capsys):
+        config = make_config(tmp_path, deltas=[0, 0.01])
+        code, _, _ = run_cli(capsys, "run", "--config", str(config))
+        assert code == 0
+        out_dir = tmp_path / "out"
+        assert (out_dir / "ber_0.0100.csv").exists() and (out_dir / "plots").exists()
+        doc = json.loads(config.read_text())
+        doc["params"] = {"t0": 3.0, "alpha": 0.5, "m_steps": 3, "mni": 2}
+        config.write_text(json.dumps(doc))
+        for out in ("out", "fresh"):
+            code, _, _ = run_cli(capsys, "run", "--config", str(config), "--algorithms", "sa",
+                                 "--out", str(tmp_path / out))
+            assert code == 0
+        files = sorted(str(p.relative_to(out_dir)) for p in out_dir.rglob("*") if p.is_file())
+        assert files == ["journal.jsonl", "manifest.json", "results_sa.csv"]
+        fresh = tmp_path / "fresh"
+        for name in ("manifest.json", "results_sa.csv"):
+            assert (out_dir / name).read_bytes() == (fresh / name).read_bytes()
+        assert without_wall_time((out_dir / "journal.jsonl").read_text()) == without_wall_time(
+            (fresh / "journal.jsonl").read_text())
+        # The earlier run's placebo results no longer pair with the new SA runs.
+        code, out, err = run_cli(capsys, "report", str(out_dir / "results_sa.csv"),
+                                 str(out_dir / "results_placebo.csv"),
+                                 "--out", str(tmp_path / "report"))
+        assert (code, out) == (2, "")
+
+    def test_optimized_python_writes_the_same_outputs(self, tmp_path, session_cache):
+        # `python -O` strips asserts: no check the run relies on may be one.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "benchmarks": [str(DATA_DIR / "genuf50-01.cnf"), str(DATA_DIR / "genuf75-01.cnf")],
+            "out_dir": "out", "n_runs": 3, "deltas": [0, 0.01],
+        }))
+        code = ("import sys\nfrom pathlib import Path\nfrom saflip import _kernel, cli\n"
+                "_kernel.CACHE_DIR = Path(sys.argv[1])\nsys.exit(cli.main(sys.argv[2:]))\n")
+        outputs = []
+        for flags in ((), ("-O",)):
+            out_dir = tmp_path / f"out{''.join(flags)}"
+            proc = run_python(*flags, "-c", code, str(session_cache), "run",
+                              "--config", str(config), "--out", str(out_dir), timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append({name: (out_dir / name).read_bytes()
+                            for name in ("results_sa.csv", "results_placebo.csv",
+                                         "summary.json")})
+        assert outputs[0] == outputs[1]
+
     def test_temperature_underflow_is_the_greedy_limit(self, tmp_path, capsys):
         # 51.71 * 0.5**k underflows to 0.0 at k = 1075, before the last of
         # the 1100 levels; the clauses x1 and -x1 keep the run unsolved.
@@ -203,8 +249,10 @@ class TestRun:
         ({"limit_per_group": -1}, "limit_per_group must be an integer >= 0, got -1"),
         ({"deltas": [0.00094, 0.00089]},
          "deltas 0.00094 and 0.00089 both write ber_0.0009.csv"),
+        ({"params": {"t0": True, "m_steps": True, "mni": True}},
+         "bad params: t0 must be a positive number"),
     ], ids=["negative-delta", "deltas", "groups", "n_runs", "benchmarks", "out_dir",
-            "split", "limit_per_group", "deltas-sharing-a-table"])
+            "split", "limit_per_group", "deltas-sharing-a-table", "boolean-params"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, override, message):
         config = make_config(tmp_path, **override)
         code, out, err = run_cli(capsys, "run", "--config", str(config))
@@ -426,7 +474,20 @@ class TestTune:
         assert code == 1
         assert out == ""
         assert "tuning failed" in err
-        assert not (tmp_path / "tune" / "screening_effects.json").exists()
+        assert not (tmp_path / "tune").exists()
+
+    def test_failing_screen_keeps_an_out_dir_it_did_not_make(self, tmp_path, capsys,
+                                                            monkeypatch):
+        config = make_config(tmp_path)
+        (tmp_path / "tune").mkdir()
+        record_sa_calls(monkeypatch, fail_after=0)
+        code, out, err = run_cli(
+            capsys, "tune", "--config", str(config), "--phase", "screen",
+            "--runs", "1", "--out", str(tmp_path / "tune"),
+        )
+        assert (code, out) == (1, "")
+        assert "tuning failed" in err
+        assert list((tmp_path / "tune").iterdir()) == []
 
     def test_failing_solver_fails_rsm_with_partial_trace(
         self, tmp_path, capsys, monkeypatch

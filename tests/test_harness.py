@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import shutil
 import sys
 import tarfile
@@ -487,7 +488,7 @@ class TestExecute:
                 values[abs(lit) - 1] = int(lit < 0)
             if truncate:
                 values = values[:-1]
-            return RunOutcome(tuple(values), 0.0, 1, 0, True, 0.0, 0.0)
+            return RunOutcome(tuple(values), 0.0, 1, 0, 0.0, 0.0)
 
         monkeypatch.setitem(harness.ALGORITHMS, "sa", lying)
         journal = tmp_path / "journal.jsonl"
@@ -500,6 +501,12 @@ class TestExecute:
         assert errors == [{"algorithm": "sa", "instance_id": first, "run_index": 1,
                            "seed": lie_seed, "error": errors[0]["error"]}]
         assert list(errors[0]) == ["algorithm", "instance_id", "run_index", "seed", "error"]
+        # The clause scan refused the outcome, not its construction.
+        n, m = plan.instances[0].formula.num_vars, plan.instances[0].formula.num_clauses
+        expected = (f"best assignment has {n - 1} values for {n} variables" if truncate else
+                    rf"best_score 0\.0 but the best assignment leaves [1-9]\d* of {m} clauses "
+                    "unsatisfied")
+        assert re.fullmatch(f"ValueError: {expected}", errors[0]["error"])
 
 
 class TestSummarize:
@@ -530,6 +537,21 @@ class TestSummarize:
         assert (tmp_path / "plots" / "ecdf_overall.svg").exists()
         assert (tmp_path / "plots" / "hist_50.svg").exists()
         assert (tmp_path / "plots" / "ecdf_overall.csv").exists()
+
+    def test_success_rate_per_group(self, tmp_path):
+        from saflip.ber import ResultMatrix
+
+        seeds = [[1, 2], [3, 4], [5, 6]]
+        ym = ResultMatrix(["a", "b", "c"], [50, 75, 75], seeds,
+                          [[0.0, 0.5], [0.0, 0.0], [0.25, 0.0]], "sa")
+        y0 = ResultMatrix(["a", "b", "c"], [50, 75, 75], seeds,
+                          [[0.5, 0.5], [0.0, 0.25], [0.0, 0.0]], "placebo")
+        summarize(ym, y0, deltas=(0.0,), out_dir=tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["success_rate"] == {
+            "sa": {"50": 0.5, "75": 0.75, "overall": 4 / 6},
+            "placebo": {"50": 0.0, "75": 0.75, "overall": 0.5},
+        }
 
     def test_reports_byte_identical_across_reruns(self, tmp_path):
         ym, y0 = self._all_zero_pair()

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 import threading
@@ -25,6 +26,8 @@ from conftest import PINNED, random_3cnf, run_python
 SOLVERS = (run_sa_flip, run_placebo_flip)
 RULES = {run_sa_flip: METROPOLIS, run_placebo_flip: COIN}
 UNSAT_PAIR = CnfFormula(1, ((1,), (-1,)), source_id="unsat-pair")
+TRAJECTORY_TOOL = Path(__file__).resolve().parents[1] / "tools" / "trajectory_checksum.py"
+mixed_cnf = runpy.run_path(str(TRAJECTORY_TOOL))["mixed_cnf"]
 
 
 @pytest.fixture(scope="module")
@@ -112,14 +115,6 @@ def test_underflowed_temperature_matches_reference(kernel):
             fast = result(solver, formula, params)
             assert fast == reference_result(solver, formula, params), (seed, solver.__name__)
             assert fast.iterations_completed == 1100
-
-
-def mixed_cnf(n, m, rng, max_width=5):
-    """m clauses of 1 to max_width distinct literals over n variables; x and
-    -x may share one."""
-    literals = [*range(1, n + 1), *range(-n, 0)]
-    return CnfFormula(n, tuple(tuple(rng.sample(literals, min(rng.randint(1, max_width), 2 * n)))
-                               for _ in range(m)))
 
 
 def test_mixed_width_formulas_match_reference(kernel):
@@ -411,7 +406,6 @@ def test_trajectory_checksum_is_unchanged(session_cache):
     tool ingests the fixtures through the parse cache, so this also covers a
     cache hit once the cache is warm.  A change that alters results on purpose
     updates the hash."""
-    tool = Path(__file__).resolve().parents[1] / "tools" / "trajectory_checksum.py"
     code = (
         "import runpy, sys\n"
         "from pathlib import Path\n"
@@ -419,6 +413,6 @@ def test_trajectory_checksum_is_unchanged(session_cache):
         "_kernel.CACHE_DIR = Path(sys.argv[1])\n"
         "runpy.run_path(sys.argv[2], run_name='__main__')\n"
     )
-    proc = run_python("-c", code, str(session_cache), str(tool), timeout=600)
+    proc = run_python("-c", code, str(session_cache), str(TRAJECTORY_TOOL), timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith(f"{TRAJECTORY_SHA256}  380 runs, ")

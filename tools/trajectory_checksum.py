@@ -4,8 +4,9 @@
 The grid is the 30 committed fixtures x seeds 1-3 x {sa, placebo} at the
 pinned params, then 100 seeded random formulas with clause widths 1-5 (a
 clause may hold x and -x) under varied params, both solvers.  Each run adds
-one JSON line of its outcome without `wall_time`.  A change that leaves this
-checksum unchanged changed no RNG draw and no result on the grid.
+one JSON line of its outcome's fields and `solved`, without `wall_time`.  A
+change that leaves this checksum unchanged changed no RNG draw and no result
+on the grid.
 
     python3 tools/trajectory_checksum.py
 """
@@ -29,10 +30,11 @@ SOLVERS = (run_sa_flip, run_placebo_flip)
 PINNED = SolverParams(t0=51.71, alpha=0.92, m_steps=50, mni=103)
 
 
-def mixed_cnf(n, m, rng):
-    """m clauses of 1-5 distinct literals over n variables; x and -x may share one."""
+def mixed_cnf(n, m, rng, max_width=5):
+    """m clauses of 1 to max_width distinct literals over n variables; x and
+    -x may share one."""
     literals = [*range(1, n + 1), *range(-n, 0)]
-    return CnfFormula(n, tuple(tuple(rng.sample(literals, min(rng.randint(1, 5), 2 * n)))
+    return CnfFormula(n, tuple(tuple(rng.sample(literals, min(rng.randint(1, max_width), 2 * n)))
                                for _ in range(m)))
 
 
@@ -53,7 +55,9 @@ def main():
     count = 0
     for formula, params in runs():
         for solver in SOLVERS:
-            out = dataclasses.asdict(solver(formula, params))
+            outcome = solver(formula, params)
+            out = dataclasses.asdict(outcome)
+            out["solved"] = outcome.solved
             del out["wall_time"]
             h.update(json.dumps(out, sort_keys=True).encode() + b"\n")
             count += 1

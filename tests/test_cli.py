@@ -143,7 +143,7 @@ class TestRun:
         assert without_wall_time((out_dir / "journal.jsonl").read_text()) == without_wall_time(
             (fresh / "journal.jsonl").read_text())
         # The earlier run's placebo results no longer pair with the new SA runs.
-        code, out, err = run_cli(capsys, "report", str(out_dir / "results_sa.csv"),
+        code, out, _ = run_cli(capsys, "report", str(out_dir / "results_sa.csv"),
                                  str(out_dir / "results_placebo.csv"),
                                  "--out", str(tmp_path / "report"))
         assert (code, out) == (2, "")

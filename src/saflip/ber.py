@@ -104,14 +104,12 @@ class BerReport:
         return self.r_count / self.comparisons
 
     def as_dict(self):
-        return {
-            "group": self.group,
-            "delta": self.delta,
-            "b": self.b,
-            "e": self.e,
-            "r": self.r,
-            "comparisons": self.comparisons,
-        }
+        return {name: getattr(self, name) for name in BER_COLUMNS}
+
+
+# The fields of one BerReport in `summary.json` and the columns of its
+# `ber_<delta_key>.csv` table.
+BER_COLUMNS = ("group", "delta", "b", "e", "r", "comparisons")
 
 
 def _count_rows(ym_rows, y0_rows, delta):
@@ -132,14 +130,6 @@ def _count_rows(ym_rows, y0_rows, delta):
     return b_count, r_count
 
 
-def check_delta(delta):
-    """delta as a float; raises ValueError unless it is finite and >= 0."""
-    delta = float(delta)
-    if not (math.isfinite(delta) and delta >= 0):
-        raise ValueError(f"delta must be finite and >= 0, got {delta}")
-    return delta
-
-
 def delta_key(delta):
     """delta to 4 decimals: the key of its BER table in `summary.json` and
     in the table's file name, `ber_<key>.csv`."""
@@ -147,17 +137,18 @@ def delta_key(delta):
 
 
 def check_deltas(deltas):
-    """The deltas checked by `check_delta`, as a tuple; raises ValueError
-    when two share a `delta_key`, since one's table would overwrite the
-    other's."""
-    checked = tuple(map(check_delta, deltas))
+    """The deltas as a tuple of floats; raises ValueError unless each is
+    finite and >= 0, or when two share a `delta_key`, since one's table
+    would overwrite the other's."""
     first = {}
-    for delta in checked:
+    for delta in map(float, deltas):
+        if not (math.isfinite(delta) and delta >= 0):
+            raise ValueError(f"delta must be finite and >= 0, got {delta}")
         key = delta_key(delta)
         if key in first:
             raise ValueError(f"deltas {first[key]!r} and {delta!r} both write ber_{key}.csv")
         first[key] = delta
-    return checked
+    return tuple(first.values())
 
 
 def ber_grouped(ym, y0, delta):
@@ -168,7 +159,7 @@ def ber_grouped(ym, y0, delta):
     delta, r the converse, and e the remainder, so boundary ties land in e
     and the three counts over l rows of n runs sum to l*n^2 exactly.
     """
-    check_delta(delta)
+    check_deltas((delta,))
     check_paired(ym, y0)
     return [
         BerReport(
@@ -208,63 +199,43 @@ def write_result_csv(matrix, path):
 def read_result_csv(path):
     """The ResultMatrix in a CSV written by `write_result_csv`; raises
     ValueError, naming the line where it can, on any malformed file."""
-    rows = {}
-    order = []
+    rows = {}  # instance id: (group as written, its key, {run index: (seed, y)})
     label = None  # the first row's; every row must carry it
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
-            if header != CSV_COLUMNS:
-                raise ValueError(f"{path}: unexpected columns {header}")
-            for fields in reader:
+            for fields in reader if header == CSV_COLUMNS else ():
                 if not fields:
                     continue
                 if len(fields) != len(CSV_COLUMNS):
-                    raise ValueError(
-                        f"{path}: line {reader.line_num}: expected "
-                        f"{len(CSV_COLUMNS)} fields, got {len(fields)}"
-                    )
+                    raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(fields)}")
                 iid, group, seed, run_index, algo, y = fields
                 label = algo if label is None else label
-                if iid not in rows:
-                    rows[iid] = {"group": group, "cells": {}}
-                    order.append(iid)
                 if algo != label:
-                    raise ValueError(f"{path}: line {reader.line_num}: algorithm {algo!r}, "
-                                     f"but {label!r} in an earlier row")
-                if group != rows[iid]["group"]:
-                    raise ValueError(f"{path}: line {reader.line_num}: instance {iid!r} in "
-                                     f"group {group!r}, but {rows[iid]['group']!r} in an "
-                                     "earlier row")
-                cells = rows[iid]["cells"]
-                try:
-                    j, cell = int(run_index), (int(seed), float(y))
-                    if not 0.0 <= cell[1] <= 1.0:
-                        raise ValueError(f"score {cell[1]} outside [0, 1]")
-                except ValueError as exc:
-                    raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+                    raise ValueError(f"algorithm {algo!r}, but {label!r} in an earlier row")
+                if iid not in rows:
+                    rows[iid] = (group, int(group) if group.isdigit() else group, {})
+                written, _, cells = rows[iid]
+                if group != written:
+                    raise ValueError(f"instance {iid!r} in group {group!r}, but {written!r} "
+                                     "in an earlier row")
+                j, cell = int(run_index), (int(seed), float(y))
+                if not 0.0 <= cell[1] <= 1.0:
+                    raise ValueError(f"score {cell[1]} outside [0, 1]")
                 if j in cells:
-                    raise ValueError(
-                        f"{path}: line {reader.line_num}: duplicate run {j} "
-                        f"of instance {iid!r}"
-                    )
+                    raise ValueError(f"duplicate run {j} of instance {iid!r}")
                 cells[j] = cell
-        except csv.Error as exc:
+        except (csv.Error, ValueError) as exc:
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    instance_ids, group_keys, seeds, scores = [], [], [], []
-    for iid in order:
-        cells = rows[iid]["cells"]
-        group = rows[iid]["group"]
-        instance_ids.append(iid)
-        group_keys.append(int(group) if group.isdigit() else group)
-        seeds.append([cells[j][0] for j in sorted(cells)])
-        scores.append([cells[j][1] for j in sorted(cells)])
+    if header != CSV_COLUMNS:
+        raise ValueError(f"{path}: unexpected columns {header}")
+    runs = [[cells[j] for j in sorted(cells)] for _, _, cells in rows.values()]
     return ResultMatrix(
-        instance_ids=instance_ids,
-        group_keys=group_keys,
-        seeds=seeds,
-        scores=scores,
+        instance_ids=list(rows),
+        group_keys=[key for _, key, _ in rows.values()],
+        seeds=[[seed for seed, _ in row] for row in runs],
+        scores=[[y for _, y in row] for row in runs],
         algorithm_label=label,
     )
 
@@ -278,11 +249,8 @@ def write_ber_tables(tables, out_dir):
         path = Path(out_dir) / f"{name}.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["group", "delta", "b", "e", "r", "comparisons"])
-            for rep in reports:
-                writer.writerow(
-                    [rep.group, rep.delta, rep.b, rep.e, rep.r, rep.comparisons]
-                )
+            writer.writerow(BER_COLUMNS)
+            writer.writerows(rep.as_dict().values() for rep in reports)
         paths[name] = str(path)
     return paths
 

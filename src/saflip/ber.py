@@ -17,31 +17,36 @@ from pathlib import Path
 
 
 def group_rows(group_keys):
-    """(label, row indices) for each distinct group key, numerically sorted,
-    then ("overall", every row)."""
+    """(label, row indices) for each distinct group key, then ("overall",
+    every row).  Numeric keys come first, by value, then the rest (NaN among
+    them); ties go by label, then by first appearance, so the order does not
+    depend on hashing."""
 
     def order(g):
         try:
-            return (0, float(g), "")
+            value = float(g)
         except (TypeError, ValueError):
-            return (1, 0.0, str(g))
+            value = math.nan
+        return (1, 0.0, str(g)) if math.isnan(value) else (0, value, str(g))
 
     groups = [
         (str(g), [i for i, key in enumerate(group_keys) if key == g])
-        for g in sorted(set(group_keys), key=order)
+        for g in sorted(dict.fromkeys(group_keys), key=order)
     ]
     return groups + [("overall", list(range(len(group_keys))))]
 
 
 @dataclass
 class ResultMatrix:
-    """l x n matrix of performance scores with instance and seed provenance."""
+    """l x n matrix of performance scores with instance and seed provenance;
+    column j holds run `run_indices[j]` of the plan (default: run j)."""
 
     instance_ids: list
     group_keys: list
     seeds: list
     scores: list
     algorithm_label: str = ""
+    run_indices: list = None
 
     def __post_init__(self):
         l = len(self.instance_ids)
@@ -58,6 +63,10 @@ class ResultMatrix:
             for y in row_y:
                 if not 0.0 <= y <= 1.0:
                     raise ValueError(f"score {y} outside [0, 1]")
+        if self.run_indices is None:
+            self.run_indices = list(range(n))
+        if len(self.run_indices) != n:
+            raise ValueError(f"{len(self.run_indices)} run indices for {n} run columns")
 
     @property
     def num_runs(self):
@@ -65,11 +74,13 @@ class ResultMatrix:
 
 
 def check_paired(a, b):
-    """Raise ValueError unless the matrices share instances and seeds."""
+    """Raise ValueError unless the matrices share instances, runs and seeds."""
     if a.instance_ids != b.instance_ids:
         raise ValueError("instance id lists differ")
     if a.num_runs != b.num_runs:
         raise ValueError(f"run counts differ: {a.num_runs} vs {b.num_runs}")
+    if a.run_indices != b.run_indices:
+        raise ValueError(f"run indices differ: {a.run_indices} vs {b.run_indices}")
     if a.seeds != b.seeds:
         raise ValueError("seed matrices differ elementwise")
     if a.group_keys != b.group_keys:
@@ -182,18 +193,11 @@ def write_result_csv(matrix, path):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for i, iid in enumerate(matrix.instance_ids):
-            for j in range(matrix.num_runs):
-                writer.writerow(
-                    [
-                        iid,
-                        matrix.group_keys[i],
-                        matrix.seeds[i][j],
-                        j,
-                        matrix.algorithm_label,
-                        repr(matrix.scores[i][j]),
-                    ]
-                )
+        for iid, group, seeds, scores in zip(
+            matrix.instance_ids, matrix.group_keys, matrix.seeds, matrix.scores
+        ):
+            for j, seed, y in zip(matrix.run_indices, seeds, scores):
+                writer.writerow([iid, group, seed, j, matrix.algorithm_label, repr(y)])
 
 
 def read_result_csv(path):
@@ -230,13 +234,20 @@ def read_result_csv(path):
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if header != CSV_COLUMNS:
         raise ValueError(f"{path}: unexpected columns {header}")
-    runs = [[cells[j] for j in sorted(cells)] for _, _, cells in rows.values()]
+    run_indices = {iid: sorted(cells) for iid, (_, _, cells) in rows.items()}
+    first = next(iter(run_indices), None)
+    for iid, indices in run_indices.items():
+        if indices != run_indices[first]:
+            raise ValueError(f"{path}: instance {iid!r} has runs {indices}, but instance "
+                             f"{first!r} has runs {run_indices[first]}")
+    runs = [[cells[j] for j in run_indices[first]] for _, _, cells in rows.values()]
     return ResultMatrix(
         instance_ids=list(rows),
         group_keys=[key for _, key, _ in rows.values()],
         seeds=[[seed for seed, _ in row] for row in runs],
         scores=[[y for _, y in row] for row in runs],
         algorithm_label=label,
+        run_indices=run_indices.get(first),
     )
 
 

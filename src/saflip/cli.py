@@ -30,6 +30,7 @@ SATLIB_ARCHIVES = ("uf50-218", "uf75-325", "uf100-430", "uf125-538")
 SATLIB_BASE_URL = "https://www.cs.ubc.ca/~hoos/SATLIB/Benchmarks/SAT/RND3SAT"
 
 CONFIG_ERRORS = (ValueError, RuntimeError)  # a bad value, or a kernel that cannot be built
+DEFAULT_DELTA_ARG = ",".join(map(str, harness.DEFAULT_DELTAS))  # of `ber` and `report`
 
 
 class _Exit(Exception):
@@ -144,13 +145,16 @@ def cmd_run(args):
     return paths
 
 
-def _read_inputs(args):
-    """The --delta list and the paired result matrices of `ber` and `report`."""
+def _read_inputs(args, distinct_labels=False):
+    """The --delta list and the paired result matrices of `ber` and `report`;
+    `distinct_labels` also refuses two files of the same algorithm label."""
     with _exit_on((ValueError, OSError), EXIT_USAGE, "bad --delta or result file pair"):
         deltas = check_deltas(args.delta.split(","))
         ym = read_result_csv(args.results_m)
         y0 = read_result_csv(args.results_0)
         check_paired(ym, y0)
+        if distinct_labels and ym.algorithm_label == y0.algorithm_label:
+            raise ValueError(f"both result files are labelled {ym.algorithm_label!r}")
     return deltas, ym, y0
 
 
@@ -173,7 +177,8 @@ def cmd_ber(args):
 
 
 def cmd_report(args):
-    deltas, ym, y0 = _read_inputs(args)
+    # The summary keys each series by its label, so one label would hide the other.
+    deltas, ym, y0 = _read_inputs(args, distinct_labels=True)
     out_dir = Path(args.out)
     harness.summarize(ym, y0, deltas=deltas, out_dir=out_dir)
     return {"summary": str(out_dir / "summary.json"), "plots": str(out_dir / "plots")}
@@ -286,14 +291,15 @@ def build_parser():
     p = sub.add_parser("ber", help="BER tables from paired result CSVs")
     p.add_argument("results_m", help="result CSV of the examined algorithm")
     p.add_argument("results_0", help="result CSV of the placebo")
-    p.add_argument("--delta", default="0,0.01,0.02", help="comma-separated deltas")
+    p.add_argument("--delta", default=DEFAULT_DELTA_ARG, help="comma-separated deltas")
     p.add_argument("--out", default="ber")
     p.set_defaults(func=cmd_ber)
 
     p = sub.add_parser("tune", help="DOE parameter tuning")
     p.add_argument("--config", required=True)
     p.add_argument("--phase", choices=("screen", "rsm"), required=True)
-    p.add_argument("--runs", type=int, default=30, help="runs per instance per row")
+    p.add_argument("--runs", type=int, default=harness.DEFAULT_RUNS_PER_INSTANCE,
+                   help="runs per instance per row")
     p.add_argument("--budget-limit", type=int, default=5000)
     p.add_argument("--dead-band", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=None)
@@ -303,7 +309,7 @@ def build_parser():
     p = sub.add_parser("report", help="summary tables and plots from result CSVs")
     p.add_argument("results_m")
     p.add_argument("results_0")
-    p.add_argument("--delta", default="0,0.01,0.02")
+    p.add_argument("--delta", default=DEFAULT_DELTA_ARG)
     p.add_argument("--out", default="report")
     p.set_defaults(func=cmd_report)
     return parser

@@ -385,6 +385,7 @@ def execute(plan, algorithms=("sa", "placebo"), jobs=1, journal_path=None,
             seeds=column(algo, "seed"),
             scores=column(algo, "y"),
             algorithm_label=algo,
+            run_indices=kept_cols,
         )
         for algo in algorithms
     }
@@ -421,7 +422,7 @@ def summarize(ym, y0, out_dir, deltas=DEFAULT_DELTAS):
     """Mean scores, success rates and BER tables per delta of a paired
     matrix pair, written under out_dir (summary.json, ber_<delta>.csv) with
     per-group distribution plots; returns the summary."""
-    pair = ((ym.algorithm_label or "sa", ym), (y0.algorithm_label or "placebo", y0))
+    pair = ((ym.algorithm_label, ym), (y0.algorithm_label, y0))
     ber_tables = {delta: ber_grouped(ym, y0, delta) for delta in deltas}
     cells = {label: _group_cells(m) for label, m in pair}
     summary = {

@@ -15,6 +15,8 @@ from saflip.ber import (
     write_result_csv,
 )
 
+from conftest import run_python
+
 
 def oracle_ber(ym_rows, y0_rows, delta):
     """Direct triple-loop enumeration of the three counts."""
@@ -157,6 +159,19 @@ class TestGrouped:
             ("overall", [0, 1, 2, 3]),
         ]
 
+    def test_group_order_does_not_depend_on_hashing(self, monkeypatch):
+        # 50 and "50.0" are equal as numbers, and "nan" is no number at all.
+        keys = ["nan", 50, 7, "inf", "50.0", "x"]
+        code = f"from saflip.ber import group_rows; print([g for g, _ in group_rows({keys!r})])"
+        orders = set()
+        for hash_seed in range(8):
+            monkeypatch.setenv("PYTHONHASHSEED", str(hash_seed))
+            proc = run_python("-c", code)
+            assert proc.returncode == 0, proc.stderr
+            orders.add(proc.stdout)
+        labels = ["7", "50", "50.0", "inf", "nan", "x", "overall"]
+        assert orders == {f"{labels}\n"}
+
 
 @st.composite
 def paired_matrices(draw):
@@ -232,6 +247,23 @@ class TestPersistence:
         back = read_result_csv(path)
         assert back == m
 
+    def test_csv_keeps_the_run_indices(self, tmp_path):
+        m = make_matrix([[0.0, 0.5], [0.25, 1.0]], groups=[50, 75], label="sa")
+        m.run_indices = [0, 2]
+        path = tmp_path / "results.csv"
+        write_result_csv(m, path)
+        assert [line.split(",")[3] for line in path.read_text().splitlines()[1:]] == [
+            "0", "2", "0", "2"]
+        assert read_result_csv(path) == m
+
+    def test_csv_rejects_instances_of_different_runs(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text(",".join(CSV_COLUMNS) + "\n"
+                        "a,50,1,0,sa,0.1\na,50,2,2,sa,0.2\nb,50,3,0,sa,0.3\nb,50,4,1,sa,0.4\n")
+        message = f"{path}: instance 'b' has runs [0, 1], but instance 'a' has runs [0, 2]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_result_csv(path)
+
     def test_csv_rejects_wrong_columns(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
@@ -255,7 +287,8 @@ class TestPersistence:
         ("a,50,2,1,sa,zero", "'zero'"),
         ("a,50,2,1,sa,2.0", "score 2.0 outside [0, 1]"),
         ("a,50,2,1,sa,nan", "score nan outside [0, 1]"),
-    ], ids=["seed", "run_index", "y", "y_above_1", "y_nan"])
+        ("b,²,2,0,sa,0.3", "invalid literal for int() with base 10: '²'"),
+    ], ids=["seed", "run_index", "y", "y_above_1", "y_nan", "group"])
     def test_csv_names_the_line_of_a_bad_number(self, tmp_path, row, bad):
         path = tmp_path / "bad.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\na,50,1,0,sa,0.1\n" + row + "\n")

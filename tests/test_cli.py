@@ -72,6 +72,34 @@ class TestRun:
         assert "results_sa" in paths
         assert "results_placebo" not in paths
 
+    def test_dropped_run_keeps_its_run_index(self, tmp_path, capsys, monkeypatch):
+        config = make_config(tmp_path, n_runs=3)
+        instances = harness.ingest_benchmarks(tmp_path / "toy", validate_phase_transition=False)
+        dropped = harness.derive_seed(21, instances[0].digest, 1)
+        solver = harness.ALGORITHMS["sa"]
+
+        def failing_once(formula, params):
+            if params.seed == dropped:
+                raise RuntimeError("solver exploded")
+            return solver(formula, params)
+
+        monkeypatch.setitem(harness.ALGORITHMS, "sa", failing_once)
+        code, out, err = run_cli(capsys, "run", "--config", str(config))
+        assert code == 0
+        assert (f"WARNING: 1 failed cells excluded from both matrices: "
+                f"[('{instances[0].instance_id}', 1)]") in err.splitlines()
+        paths = json.loads(out)
+        journal = [json.loads(line) for line in Path(paths["journal"]).read_text().splitlines()]
+        seeds = {(rec["instance_id"], rec["run_index"]): rec["seed"] for rec in journal}
+        for algo in ("sa", "placebo"):
+            lines = Path(paths[f"results_{algo}"]).read_text().splitlines()[1:]
+            rows = [line.split(",") for line in lines]
+            assert [row[3] for row in rows] == ["0", "2"] * len(instances)
+            assert all(int(seed) == seeds[(iid, int(j))] for iid, _, seed, j, _, _ in rows)
+        code, _, err = run_cli(capsys, "report", paths["results_sa"], paths["results_placebo"],
+                               "--out", str(tmp_path / "report"))
+        assert code == 0, err
+
     def test_resume_skips_finished_cells(self, tmp_path, capsys):
         config = make_config(tmp_path)
         code, out, _ = run_cli(capsys, "run", "--config", str(config))
@@ -476,6 +504,18 @@ class TestTune:
         assert "tuning failed" in err
         assert not (tmp_path / "tune").exists()
 
+    def test_one_failed_cell_fails_screen(self, tmp_path, capsys, monkeypatch):
+        # Two instances of two runs: the fourth cell, run 1 of the second
+        # instance, fails, and run 0 of both still stands.
+        config = make_config(tmp_path)
+        record_sa_calls(monkeypatch, fail_after=3)
+        code, out, err = run_cli(
+            capsys, "tune", "--config", str(config), "--phase", "screen",
+            "--runs", "2", "--out", str(tmp_path / "tune"),
+        )
+        assert (code, out) == (1, "")
+        assert err == "tuning failed: failed cells (instance, run): [('toy8-00', 1)]\n"
+
     def test_failing_screen_keeps_an_out_dir_it_did_not_make(self, tmp_path, capsys,
                                                             monkeypatch):
         config = make_config(tmp_path)
@@ -774,6 +814,9 @@ FAILURES = {
         lambda tmp, mp: ["fetch", "http://127.0.0.1:1/x.tar.gz",
                          "--cache-dir", str(tmp / "cache")],
         2, "fetch failed for http://127.0.0.1:1/x.tar.gz: "),
+    "report-same-label": (
+        lambda tmp, mp: ["report", *[write_result_pair(tmp)[0]] * 2, "--out", str(tmp / "r")],
+        2, "bad --delta or result file pair: both result files are labelled 'sa'"),
     "report-out-existing-file": (
         lambda tmp, mp: ["report", *write_result_pair(tmp), "--out", existing_file(tmp)],
         1, "report failed: [Errno 20] Not a directory: "),

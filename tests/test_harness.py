@@ -598,3 +598,16 @@ class TestConfig:
         assert instances == plan.instances and len(instances) == 1
         assert plan.instances[0].group == 6
         assert plan.params.m_steps == 2
+
+    def test_split_key_keeps_one_side_of_the_split(self, tmp_path):
+        write_toy_instances(tmp_path / "toy", per_group=22, groups=(6,))
+        picked = {}
+        for split in ("train", "test"):
+            config = ExperimentConfig(benchmarks="toy", out_dir="out", split=split,
+                                      validate_phase_transition=False, base_dir=tmp_path)
+            plan, instances = config.build_plan()
+            assert instances == plan.instances
+            assert {entry["split"] for entry in manifest(instances)} == {split}
+            picked[split] = {inst.instance_id for inst in instances}
+        assert (len(picked["train"]), len(picked["test"])) == (20, 2)
+        assert not picked["train"] & picked["test"]

@@ -209,6 +209,7 @@ def read_result_csv(path):
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
+            # A bad header is refused after the try, so its message names no line.
             for fields in reader if header == CSV_COLUMNS else ():
                 if not fields:
                     continue

@@ -328,7 +328,8 @@ def execute(plan, algorithms=("sa", "placebo"), jobs=1, journal_path=None,
     instance content) raises ValueError before any cell runs.
     A failed cell of the plan, under any algorithm in the journal, removes
     its run column from the matrices of every algorithm, so they stay
-    rectangular and paired.
+    rectangular and paired; each matrix's `run_indices` name the plan runs
+    of the columns that stay.
     """
     algorithms = check_algorithms(algorithms)
     done = {}

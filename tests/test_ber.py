@@ -256,14 +256,6 @@ class TestPersistence:
             "0", "2", "0", "2"]
         assert read_result_csv(path) == m
 
-    def test_csv_rejects_instances_of_different_runs(self, tmp_path):
-        path = tmp_path / "ragged.csv"
-        path.write_text(",".join(CSV_COLUMNS) + "\n"
-                        "a,50,1,0,sa,0.1\na,50,2,2,sa,0.2\nb,50,3,0,sa,0.3\nb,50,4,1,sa,0.4\n")
-        message = f"{path}: instance 'b' has runs [0, 1], but instance 'a' has runs [0, 2]"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            read_result_csv(path)
-
     def test_csv_rejects_wrong_columns(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
@@ -311,7 +303,9 @@ class TestPersistence:
          "line 4: instance 'a' in group '75', but '50' in an earlier row"),
         ("a,50,1,0,sa,0.1\na,50,2,1,placebo,0.3\n",
          "line 3: algorithm 'placebo', but 'sa' in an earlier row"),
-    ], ids=["group", "algorithm"])
+        ("a,50,1,0,sa,0.1\na,50,2,2,sa,0.2\nb,50,3,0,sa,0.3\nb,50,4,1,sa,0.4\n",
+         "instance 'b' has runs [0, 1], but instance 'a' has runs [0, 2]"),
+    ], ids=["group", "algorithm", "runs"])
     def test_csv_rejects_rows_that_disagree(self, tmp_path, rows, message):
         path = tmp_path / "mixed.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\n" + rows)

@@ -17,21 +17,11 @@ from pathlib import Path
 
 
 def group_rows(group_keys):
-    """(label, row indices) for each distinct group key, then ("overall",
-    every row).  Numeric keys come first, by value, then the rest (NaN among
-    them); ties go by label, then by first appearance, so the order does not
-    depend on hashing."""
-
-    def order(g):
-        try:
-            value = float(g)
-        except (TypeError, ValueError):
-            value = math.nan
-        return (1, 0.0, str(g)) if math.isnan(value) else (0, value, str(g))
-
+    """(label, row indices) for each group key in increasing order, then
+    ("overall", every row)."""
     groups = [
         (str(g), [i for i, key in enumerate(group_keys) if key == g])
-        for g in sorted(dict.fromkeys(group_keys), key=order)
+        for g in sorted(set(group_keys))
     ]
     return groups + [("overall", list(range(len(group_keys))))]
 
@@ -203,7 +193,7 @@ def write_result_csv(matrix, path):
 def read_result_csv(path):
     """The ResultMatrix in a CSV written by `write_result_csv`; raises
     ValueError, naming the line where it can, on any malformed file."""
-    rows = {}  # instance id: (group as written, its key, {run index: (seed, y)})
+    rows = {}  # instance id: (its variable count, {run index: (seed, y)})
     label = None  # the first row's; every row must carry it
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -219,11 +209,11 @@ def read_result_csv(path):
                 label = algo if label is None else label
                 if algo != label:
                     raise ValueError(f"algorithm {algo!r}, but {label!r} in an earlier row")
-                if iid not in rows:
-                    rows[iid] = (group, int(group) if group.isdigit() else group, {})
-                written, _, cells = rows[iid]
-                if group != written:
-                    raise ValueError(f"instance {iid!r} in group {group!r}, but {written!r} "
+                if not (group.isdecimal() and group == str(int(group))):
+                    raise ValueError(f"group {group!r} is not a variable count")
+                first_group, cells = rows.setdefault(iid, (int(group), {}))
+                if int(group) != first_group:
+                    raise ValueError(f"instance {iid!r} in group {group}, but {first_group} "
                                      "in an earlier row")
                 j, cell = int(run_index), (int(seed), float(y))
                 if not 0.0 <= cell[1] <= 1.0:
@@ -235,20 +225,22 @@ def read_result_csv(path):
             raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if header != CSV_COLUMNS:
         raise ValueError(f"{path}: unexpected columns {header}")
-    run_indices = {iid: sorted(cells) for iid, (_, _, cells) in rows.items()}
-    first = next(iter(run_indices), None)
+    if not rows:
+        raise ValueError(f"{path}: no result rows")
+    run_indices = {iid: sorted(cells) for iid, (_, cells) in rows.items()}
+    first = next(iter(run_indices))
     for iid, indices in run_indices.items():
         if indices != run_indices[first]:
             raise ValueError(f"{path}: instance {iid!r} has runs {indices}, but instance "
                              f"{first!r} has runs {run_indices[first]}")
-    runs = [[cells[j] for j in run_indices[first]] for _, _, cells in rows.values()]
+    runs = [[cells[j] for j in run_indices[first]] for _, cells in rows.values()]
     return ResultMatrix(
         instance_ids=list(rows),
-        group_keys=[key for _, key, _ in rows.values()],
+        group_keys=[group for group, _ in rows.values()],
         seeds=[[seed for seed, _ in row] for row in runs],
         scores=[[y for _, y in row] for row in runs],
         algorithm_label=label,
-        run_indices=run_indices.get(first),
+        run_indices=run_indices[first],
     )
 
 

@@ -190,6 +190,8 @@ def cmd_tune(args):
     with _exit_on(CONFIG_ERRORS, EXIT_USAGE, "config error"):
         if not 0 <= args.dead_band < math.inf:
             raise ValueError(f"--dead-band must be a finite number >= 0, got {args.dead_band}")
+        if args.budget_limit < 1:
+            raise ValueError(f"--budget-limit must be an integer >= 1, got {args.budget_limit}")
         plan, out_dir = _load_plan(args)
         plan = dataclasses.replace(plan, n_runs=args.runs)
         if args.phase == "screen":

@@ -459,14 +459,13 @@ def _write_plot_outputs(cells, plot_dir):
 
     for group in next(iter(cells.values())):
         series = {label: by_group[group] for label, by_group in cells.items()}
-        tag = group.replace(" ", "_")
-        (plot_dir / f"ecdf_{tag}.svg").write_text(
+        (plot_dir / f"ecdf_{group}.svg").write_text(
             plots.ecdf_svg(series, title=f"ECDF of scores ({group})")
         )
-        (plot_dir / f"hist_{tag}.svg").write_text(
+        (plot_dir / f"hist_{group}.svg").write_text(
             plots.histogram_svg(series, title=f"Score histogram ({group})")
         )
-        with open(plot_dir / f"ecdf_{tag}.csv", "w", newline="") as fh:
+        with open(plot_dir / f"ecdf_{group}.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["algorithm", "y", "cumulative_fraction"])
             for label, values in series.items():

@@ -6,6 +6,8 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import html
+
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 55
 COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
@@ -41,7 +43,7 @@ class _Canvas:
             f'viewBox="0 0 {WIDTH} {HEIGHT}">',
             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
             f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>',
+            f'font-family="sans-serif" font-size="16">{html.escape(title)}</text>',
         ]
         self.xmin = xmin
         self.xspan = xspan if xspan > 0 else 1.0
@@ -92,7 +94,8 @@ class _Canvas:
             y = MARGIN_T + 14 + 18 * i
             self.parts.append(
                 f'<rect x="{x}" y="{y - 9}" width="12" height="12" fill="{COLORS[i % len(COLORS)]}"/>'
-                f'<text x="{x + 18}" y="{y + 1}" font-family="sans-serif" font-size="12">{label}</text>'
+                f'<text x="{x + 18}" y="{y + 1}" font-family="sans-serif" font-size="12">'
+                f'{html.escape(label)}</text>'
             )
 
     def render(self):

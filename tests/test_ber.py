@@ -152,16 +152,15 @@ class TestGrouped:
         assert groups == ["50", "75", "100", "125", "overall"]
 
     def test_group_rows(self):
-        assert group_rows([125, 50, 125, "x"]) == [
+        assert group_rows([125, 50, 125, 75]) == [
             ("50", [1]),
+            ("75", [3]),
             ("125", [0, 2]),
-            ("x", [3]),
             ("overall", [0, 1, 2, 3]),
         ]
 
     def test_group_order_does_not_depend_on_hashing(self, monkeypatch):
-        # 50 and "50.0" are equal as numbers, and "nan" is no number at all.
-        keys = ["nan", 50, 7, "inf", "50.0", "x"]
+        keys = [125, 50, 7, 100, 0, 75, 50]
         code = f"from saflip.ber import group_rows; print([g for g, _ in group_rows({keys!r})])"
         orders = set()
         for hash_seed in range(8):
@@ -169,7 +168,7 @@ class TestGrouped:
             proc = run_python("-c", code)
             assert proc.returncode == 0, proc.stderr
             orders.add(proc.stdout)
-        labels = ["7", "50", "50.0", "inf", "nan", "x", "overall"]
+        labels = ["0", "7", "50", "75", "100", "125", "overall"]
         assert orders == {f"{labels}\n"}
 
 
@@ -279,8 +278,14 @@ class TestPersistence:
         ("a,50,2,1,sa,zero", "'zero'"),
         ("a,50,2,1,sa,2.0", "score 2.0 outside [0, 1]"),
         ("a,50,2,1,sa,nan", "score nan outside [0, 1]"),
-        ("b,²,2,0,sa,0.3", "invalid literal for int() with base 10: '²'"),
-    ], ids=["seed", "run_index", "y", "y_above_1", "y_nan", "group"])
+        ("b,²,2,0,sa,0.3", "group '²' is not a variable count"),
+        ("b,a/b,2,0,sa,0.3", "group 'a/b' is not a variable count"),
+        ("b,overall,2,0,sa,0.3", "group 'overall' is not a variable count"),
+        ("b,<b>&x,2,0,sa,0.3", "group '<b>&x' is not a variable count"),
+        ("b,007,2,0,sa,0.3", "group '007' is not a variable count"),
+        ("b,5.0,2,0,sa,0.3", "group '5.0' is not a variable count"),
+    ], ids=["seed", "run_index", "y", "y_above_1", "y_nan", "group", "group_path",
+            "group_overall", "group_markup", "group_leading_zero", "group_float"])
     def test_csv_names_the_line_of_a_bad_number(self, tmp_path, row, bad):
         path = tmp_path / "bad.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\na,50,1,0,sa,0.1\n" + row + "\n")
@@ -300,12 +305,13 @@ class TestPersistence:
 
     @pytest.mark.parametrize("rows, message", [
         ("a,50,1,0,sa,0.1\nb,75,2,0,sa,0.2\na,75,3,1,sa,0.3\n",
-         "line 4: instance 'a' in group '75', but '50' in an earlier row"),
+         "line 4: instance 'a' in group 75, but 50 in an earlier row"),
         ("a,50,1,0,sa,0.1\na,50,2,1,placebo,0.3\n",
          "line 3: algorithm 'placebo', but 'sa' in an earlier row"),
         ("a,50,1,0,sa,0.1\na,50,2,2,sa,0.2\nb,50,3,0,sa,0.3\nb,50,4,1,sa,0.4\n",
          "instance 'b' has runs [0, 1], but instance 'a' has runs [0, 2]"),
-    ], ids=["group", "algorithm", "runs"])
+        ("", "no result rows"),
+    ], ids=["group", "algorithm", "runs", "no_rows"])
     def test_csv_rejects_rows_that_disagree(self, tmp_path, rows, message):
         path = tmp_path / "mixed.csv"
         path.write_text(",".join(CSV_COLUMNS) + "\n" + rows)
@@ -316,7 +322,8 @@ class TestPersistence:
 CSV_FIELDS = ("a", "b", "50", "0", "1", "-1", "2", "0.5", "1e-3", "nan", "inf", "", "x",
               '"', '"a,b"', "²", "007", " 1", "sa")
 well_formed_row = st.tuples(
-    st.sampled_from(("a", "b")), st.sampled_from(("50", "007", "x")), st.integers(-1, 9).map(str),
+    st.sampled_from(("a", "b")), st.sampled_from(("50", "75", "007", "x")),
+    st.integers(-1, 9).map(str),
     st.integers(0, 2).map(str), st.just("sa"), st.sampled_from(("0", "0.5", "1", "1e-3", "2")),
 ).map(",".join)
 csv_rows = st.one_of(well_formed_row,

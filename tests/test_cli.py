@@ -2,6 +2,7 @@ import gzip
 import hashlib
 import json
 import random
+import xml.dom.minidom
 from pathlib import Path
 
 import pytest
@@ -411,6 +412,16 @@ class TestBer:
         assert "deltas 0.00094 and 0.00089 both write ber_0.0009.csv" in err
         assert not (tmp_path / command).exists()
 
+    @pytest.mark.parametrize("command", ["ber", "report"])
+    @pytest.mark.parametrize("group", ["a/b", "overall", "<b>&x", "007", "5.0"])
+    def test_group_that_is_no_variable_count_exits_2(self, tmp_path, capsys, command, group):
+        paths = write_result_pair(tmp_path, group=group)
+        out_dir = tmp_path / command
+        code, out, err = run_cli(capsys, command, *paths, "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        assert f"{paths[0]}: line 2: group {group!r} is not a variable count" in err
+        assert not out_dir.exists()
+
 
 class TestReport:
     def test_report_and_determinism(self, tmp_path, capsys):
@@ -427,6 +438,19 @@ class TestReport:
         b = (tmp_path / "r2" / "plots" / "ecdf_overall.svg").read_bytes()
         assert a == b
         assert (tmp_path / "r1" / "summary.json").exists()
+
+    def test_labels_are_escaped_in_every_svg(self, tmp_path, capsys):
+        labels = ("sa<&", 'placebo"\'>')
+        code, _, err = run_cli(capsys, "report", *write_result_pair(tmp_path, labels=labels),
+                               "--out", str(tmp_path / "r"))
+        assert code == 0, err
+        svgs = sorted((tmp_path / "r" / "plots").glob("*.svg"))
+        assert [p.name for p in svgs] == ["ecdf_3.svg", "ecdf_overall.svg",
+                                          "hist_3.svg", "hist_overall.svg"]
+        for path in svgs:
+            texts = [node.firstChild.data for node in
+                     xml.dom.minidom.parse(str(path)).getElementsByTagName("text")]
+            assert set(labels) <= set(texts), path.name
 
 
 def record_sa_calls(monkeypatch, fail_after=None):
@@ -755,12 +779,13 @@ def test_import_leaves_out_what_only_some_commands_use():
     assert proc.stdout == "[]\n"
 
 
-def write_result_pair(tmp_path):
-    """Paths of two paired result CSVs over one instance and two runs."""
+def write_result_pair(tmp_path, group=3, labels=("sa", "placebo")):
+    """Paths of two paired result CSVs over one instance of `group` and two
+    runs, labelled `labels`."""
     paths = []
-    for label, scores in (("sa", [0.0, 0.5]), ("placebo", [0.25, 0.0])):
-        path = tmp_path / f"results_{label}.csv"
-        write_result_csv(ResultMatrix(["a"], [3], [[1, 2]], [scores], label), path)
+    for i, (label, scores) in enumerate(zip(labels, ([0.0, 0.5], [0.25, 0.0]))):
+        path = tmp_path / f"results_{i}.csv"
+        write_result_csv(ResultMatrix(["a"], [group], [[1, 2]], [scores], label), path)
         paths.append(str(path))
     return paths
 
@@ -814,6 +839,13 @@ FAILURES = {
         lambda tmp, mp: ["fetch", "http://127.0.0.1:1/x.tar.gz",
                          "--cache-dir", str(tmp / "cache")],
         2, "fetch failed for http://127.0.0.1:1/x.tar.gz: "),
+    "report-group-as-path": (
+        lambda tmp, mp: ["report", *write_result_pair(tmp, group="a/b"), "--out", str(tmp / "r")],
+        2, "bad --delta or result file pair: "),
+    "tune-negative-budget-limit": (
+        lambda tmp, mp: ["tune", "--config", str(make_config(tmp)), "--phase", "rsm",
+                         "--budget-limit", "-1", "--out", str(tmp / "tune")],
+        2, "config error: --budget-limit must be an integer >= 1, got -1"),
     "report-same-label": (
         lambda tmp, mp: ["report", *[write_result_pair(tmp)[0]] * 2, "--out", str(tmp / "r")],
         2, "bad --delta or result file pair: both result files are labelled 'sa'"),

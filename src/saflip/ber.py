@@ -29,7 +29,9 @@ def group_rows(group_keys):
 @dataclass
 class ResultMatrix:
     """l x n matrix of performance scores with instance and seed provenance;
-    column j holds run `run_indices[j]` of the plan (default: run j)."""
+    column j holds run `run_indices[j]` of the plan (default: run j).  A
+    group key is the instance's variable count, an int >= 0, as
+    `read_result_csv` reads it back."""
 
     instance_ids: list
     group_keys: list
@@ -44,6 +46,9 @@ class ResultMatrix:
             raise ValueError("matrix needs at least one instance row")
         if len(self.group_keys) != l or len(self.seeds) != l or len(self.scores) != l:
             raise ValueError("per-instance field lengths disagree")
+        for key in self.group_keys:
+            if not (type(key) is int and key >= 0):  # bools too are refused
+                raise ValueError(f"group key {key!r} is not a variable count")
         n = len(self.scores[0])
         if n < 1:
             raise ValueError("matrix needs at least one run column")

@@ -169,6 +169,7 @@ def cmd_ber(args):
     deltas, ym, y0 = _read_inputs(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    harness.remove_derived_files(out_dir, harness.BER_TABLES)
     tables = {delta: ber_grouped(ym, y0, delta) for delta in deltas}
     paths = write_ber_tables(tables, out_dir)
     for delta, reports in tables.items():
@@ -180,6 +181,7 @@ def cmd_report(args):
     # The summary keys each series by its label, so one label would hide the other.
     deltas, ym, y0 = _read_inputs(args, distinct_labels=True)
     out_dir = Path(args.out)
+    harness.remove_derived_files(out_dir, harness.SUMMARY_FILES)
     harness.summarize(ym, y0, deltas=deltas, out_dir=out_dir)
     return {"summary": str(out_dir / "summary.json"), "plots": str(out_dir / "plots")}
 
@@ -192,6 +194,8 @@ def cmd_tune(args):
             raise ValueError(f"--dead-band must be a finite number >= 0, got {args.dead_band}")
         if args.budget_limit < 1:
             raise ValueError(f"--budget-limit must be an integer >= 1, got {args.budget_limit}")
+        if args.runs < 1:
+            raise ValueError(f"--runs must be an integer >= 1, got {args.runs}")
         plan, out_dir = _load_plan(args)
         plan = dataclasses.replace(plan, n_runs=args.runs)
         if args.phase == "screen":

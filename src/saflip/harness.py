@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import marshal
 import random
@@ -193,24 +194,6 @@ def ingest_benchmarks(sources, validate_phase_transition=True):
     return collected
 
 
-def split_train_test(instances, master_seed):
-    """Seeded per-group shuffle; the first TRAIN_PER_GROUP instances of each
-    group become the training set, the rest the test set.  Marks each
-    instance's `split` and returns `instances`."""
-    for group in sorted({i.group for i in instances}):
-        members = [i for i in instances if i.group == group]
-        if len(members) < TRAIN_PER_GROUP:
-            raise ValueError(
-                f"group n={group} has {len(members)} instances, "
-                f"need >= {TRAIN_PER_GROUP} for the split"
-            )
-        order = sorted(members, key=lambda i: i.instance_id)
-        random.Random(derive_seed(master_seed, f"split-n{group}", 0)).shuffle(order)
-        for rank, inst in enumerate(order):
-            inst.split = "train" if rank < TRAIN_PER_GROUP else "test"
-    return instances
-
-
 def derive_seed(master_seed, instance_digest, run_index):
     """64-bit run seed from (master seed, instance digest, run index) via
     blake2b; documented so a plan file alone reproduces every run."""
@@ -230,13 +213,6 @@ class ExperimentPlan:
     # Run j of the plan uses run index first_run + j for its seed, so that
     # successive tuning evaluations can draw fresh seed blocks.
     first_run: int = 0
-
-    def __post_init__(self):
-        if not self.instances:
-            raise ValueError("plan needs at least one instance")
-        if self.n_runs < 1:
-            raise ValueError("n_runs must be >= 1")
-        self.deltas = check_deltas(self.deltas)
 
     def seed_matrix(self):
         """l x n matrix of run seeds, identical for both algorithms."""
@@ -407,14 +383,17 @@ def _read_journal(path):
 
 
 # The files a run derives from its journal: `results_<algorithm>.csv`, then
-# what `summarize` writes.  A run that does not resume removes them first, so
-# none of an earlier run's can stand beside the new run's.
-DERIVED_FILES = ("results_*.csv", "summary.json", "ber_*.csv", "plots/ecdf_*", "plots/hist_*")
+# what `summarize` (`report`) writes, of which `ber` writes the BER tables.  A
+# run that does not resume removes them all first, and `report` and `ber`
+# their own, so no file of an earlier call stands beside the new call's.
+BER_TABLES = ("ber_*.csv",)
+SUMMARY_FILES = ("summary.json", *BER_TABLES, "plots/ecdf_*", "plots/hist_*")
+DERIVED_FILES = ("results_*.csv", *SUMMARY_FILES)
 
 
-def remove_derived_files(out_dir):
-    """Remove every `DERIVED_FILES` match under out_dir."""
-    for pattern in DERIVED_FILES:
+def remove_derived_files(out_dir, patterns=DERIVED_FILES):
+    """Remove every match of `patterns` (`DERIVED_FILES` or a part) under out_dir."""
+    for pattern in patterns:
         for path in Path(out_dir).glob(pattern):
             path.unlink()
 
@@ -487,8 +466,8 @@ def _list_of(ok):
 
 @dataclass
 class ExperimentConfig:
-    """An experiment config; `__post_init__` checks the type of every value
-    and converts it, resolving paths against `base_dir`."""
+    """An experiment config; `__post_init__` checks the type and range of
+    every value at once and converts it, resolving paths against `base_dir`."""
 
     benchmarks: list = None  # required: a path or a list of paths
     out_dir: str = None  # required
@@ -511,7 +490,7 @@ class ExperimentConfig:
             ("benchmarks", _list_of(lambda b: type(b) is str), "a path or a list of paths"),
             ("out_dir", lambda v: type(v) is str, "a path"),
             ("master_seed", _is_int, "an integer"),
-            ("n_runs", _is_int, "an integer"),
+            ("n_runs", lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
             ("deltas", _list_of(lambda d: type(d) in (int, float)), "a list of numbers"),
             ("split", lambda v: v in ("", "train", "test"), '"", "train" or "test"'),
             ("groups", _list_of(_is_int), "a list of integers"),
@@ -522,6 +501,11 @@ class ExperimentConfig:
             value = getattr(self, key)
             if key not in missing and not ok(value):
                 errors.append(f"{key} must be {kind}, got {value!r}")
+            elif key == "deltas":  # numbers: now their values
+                try:
+                    self.deltas = check_deltas(value)
+                except ValueError as exc:
+                    errors.append(str(exc))
         if isinstance(self.params, dict):
             try:
                 if "seed" in self.params:
@@ -533,7 +517,6 @@ class ExperimentConfig:
             raise ValueError("; ".join(errors))
         self.benchmarks = [str(base_dir / b) for b in self.benchmarks]
         self.out_dir = str(base_dir / self.out_dir)
-        self.deltas = tuple(self.deltas)
         self.groups = tuple(self.groups)
 
     @classmethod
@@ -556,25 +539,29 @@ class ExperimentConfig:
         return config
 
     def build_plan(self):
-        """(plan, its instances): the instances ingested from `benchmarks`,
-        kept by split, then by group, then up to `limit_per_group` of each
-        group in ingest order."""
+        """(plan, its instances): of each group ingested from `benchmarks`
+        (or of each in `groups`), the `split` side of a shuffle seeded by
+        `master_seed` whose first TRAIN_PER_GROUP are "train", then up to
+        `limit_per_group`, in ingest order."""
         instances = ingest_benchmarks(
             self.benchmarks, validate_phase_transition=self.validate_phase_transition
         )
-        if self.split:
-            split_train_test(instances, self.master_seed)
-        picked, per_group = [], {}
-        for inst in instances:
-            if self.split and inst.split != self.split:
+        picked = []
+        # Ingest sorts by (group, instance id), which groupby and the shuffle need.
+        for group, members in itertools.groupby(instances, lambda inst: inst.group):
+            if self.groups and group not in self.groups:
                 continue
-            if self.groups and inst.group not in self.groups:
-                continue
-            count = per_group.get(inst.group, 0)
-            if self.limit_per_group and count >= self.limit_per_group:
-                continue
-            per_group[inst.group] = count + 1
-            picked.append(inst)
+            members = list(members)
+            if self.split:
+                if len(members) < TRAIN_PER_GROUP:
+                    raise ValueError(f"group n={group} has {len(members)} instances, "
+                                     f"need >= {TRAIN_PER_GROUP} for the split")
+                order = members.copy()
+                random.Random(derive_seed(self.master_seed, f"split-n{group}", 0)).shuffle(order)
+                for rank, inst in enumerate(order):
+                    inst.split = "train" if rank < TRAIN_PER_GROUP else "test"
+                members = [inst for inst in members if inst.split == self.split]
+            picked += members[: self.limit_per_group or None]
         if not picked:
             raise ValueError("no instances left after filtering")
         return ExperimentPlan(

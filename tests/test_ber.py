@@ -44,6 +44,30 @@ def make_matrix(scores, groups=None, label="algo", seed_base=0):
     )
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"group_keys": ["a/b"]}, "group key 'a/b' is not a variable count"),
+    ({"group_keys": ["50"]}, "group key '50' is not a variable count"),
+    ({"group_keys": [50.0]}, "group key 50.0 is not a variable count"),
+    ({"group_keys": [True]}, "group key True is not a variable count"),
+    ({"group_keys": [-1]}, "group key -1 is not a variable count"),
+    ({"instance_ids": [], "group_keys": [], "seeds": [], "scores": []},
+     "matrix needs at least one instance row"),
+    ({"group_keys": [50, 75]}, "per-instance field lengths disagree"),
+    ({"seeds": [[]], "scores": [[]]}, "matrix needs at least one run column"),
+    ({"instance_ids": ["a", "b"], "group_keys": [50, 50], "seeds": [[1, 2], [3]],
+      "scores": [[0.0, 0.5], [0.25]]}, "ragged matrix rows"),
+    ({"scores": [[0.0, 1.5]]}, "score 1.5 outside [0, 1]"),
+    ({"run_indices": [0]}, "1 run indices for 2 run columns"),
+], ids=["group_path", "group_str", "group_float", "group_bool", "group_negative", "no_rows",
+        "lengths", "no_runs", "ragged", "score", "run_indices"])
+def test_malformed_matrix_is_refused(fields, message):
+    # A matrix `write_result_csv` writes must be one `read_result_csv` reads back.
+    good = {"instance_ids": ["a"], "group_keys": [50], "seeds": [[1, 2]],
+            "scores": [[0.0, 0.5]], "algorithm_label": "sa"}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ResultMatrix(**{**good, **fields})
+
+
 def random_pair(rng, l=None, n=None, ties=True):
     l = l or rng.randint(1, 5)
     n = n or rng.randint(1, 6)

@@ -1,3 +1,4 @@
+import csv
 import gzip
 import hashlib
 import json
@@ -9,7 +10,7 @@ import pytest
 
 from saflip import _kernel, harness
 from saflip.cli import main
-from saflip.ber import ResultMatrix, read_result_csv, write_result_csv
+from saflip.ber import CSV_COLUMNS, read_result_csv
 
 from conftest import DATA_DIR, run_python
 from test_harness import write_toy_instances
@@ -271,7 +272,7 @@ class TestRun:
         ({"deltas": [-0.1]}, "delta must be finite and >= 0"),
         ({"deltas": 0.01}, "deltas must be a list of numbers, got 0.01"),
         ({"groups": 50}, "groups must be a list of integers, got 50"),
-        ({"n_runs": None}, "n_runs must be an integer, got None"),
+        ({"n_runs": None}, "n_runs must be an integer >= 1, got None"),
         ({"benchmarks": 5}, "benchmarks must be a path or a list of paths, got 5"),
         ({"out_dir": 5}, "out_dir must be a path, got 5"),
         ({"split": "dev"}, "split must be \"\", \"train\" or \"test\", got 'dev'"),
@@ -280,13 +281,18 @@ class TestRun:
          "deltas 0.00094 and 0.00089 both write ber_0.0009.csv"),
         ({"params": {"t0": True, "m_steps": True, "mni": True}},
          "bad params: t0 must be a positive number"),
+        # Every fault of the config is named before any benchmark is read.
+        ({"n_runs": 0, "deltas": [-1], "benchmarks": ["nowhere"]},
+         "n_runs must be an integer >= 1, got 0; delta must be finite and >= 0, got -1.0"),
     ], ids=["negative-delta", "deltas", "groups", "n_runs", "benchmarks", "out_dir",
-            "split", "limit_per_group", "deltas-sharing-a-table", "boolean-params"])
+            "split", "limit_per_group", "deltas-sharing-a-table", "boolean-params",
+            "faults-before-ingest"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, override, message):
         config = make_config(tmp_path, **override)
         code, out, err = run_cli(capsys, "run", "--config", str(config))
         assert (code, out) == (2, "")
         assert f"config error: {message}" in err
+        assert len(err.splitlines()) == 1 and str(tmp_path) not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "toy"]
 
     @pytest.mark.parametrize("algorithms, message", [
@@ -422,8 +428,41 @@ class TestBer:
         assert f"{paths[0]}: line 2: group {group!r} is not a variable count" in err
         assert not out_dir.exists()
 
+    def test_ber_replaces_its_earlier_tables(self, tmp_path, capsys):
+        # In the run's own directory, where only the BER tables are ber's.
+        paths = self._results(tmp_path, capsys)
+        run_dir = tmp_path / "out"
+        written = files_under(run_dir)
+        for delta in (["--delta", "0.03"], []):  # then the default deltas, as the run's
+            code, _, err = run_cli(capsys, "ber", paths["results_sa"], paths["results_placebo"],
+                                   *delta, "--out", str(run_dir))
+            assert code == 0, err
+            assert ("ber_0.0300.csv" in files_under(run_dir)) == bool(delta)
+        assert files_under(run_dir) == written
+
+
+def files_under(directory):
+    return {str(p.relative_to(directory)) for p in directory.rglob("*") if p.is_file()}
+
 
 class TestReport:
+    def test_report_replaces_its_earlier_outputs(self, tmp_path, capsys):
+        config = make_config(tmp_path)  # groups 6 and 8
+        code, out, _ = run_cli(capsys, "run", "--config", str(config))
+        assert code == 0
+        paths, run_dir = json.loads(out), tmp_path / "out"
+        code, _, err = run_cli(capsys, "report", paths["results_sa"], paths["results_placebo"],
+                               "--delta", "0.03", "--out", str(run_dir))
+        assert code == 0, err
+        assert {"ber_0.0300.csv", "plots/hist_8.svg"} <= files_under(run_dir)
+        pair = write_result_pair(tmp_path, group="6")
+        for out_dir in (run_dir, tmp_path / "fresh"):
+            code, _, err = run_cli(capsys, "report", *pair, "--out", str(out_dir))
+            assert code == 0, err
+        # The run's own files stay: its result CSVs are the first report's inputs.
+        assert files_under(run_dir) == files_under(tmp_path / "fresh") | {
+            "journal.jsonl", "manifest.json", "results_sa.csv", "results_placebo.csv"}
+
     def test_report_and_determinism(self, tmp_path, capsys):
         config = make_config(tmp_path, per_group=1, n_runs=2)
         code, out, _ = run_cli(capsys, "run", "--config", str(config))
@@ -779,13 +818,20 @@ def test_import_leaves_out_what_only_some_commands_use():
     assert proc.stdout == "[]\n"
 
 
-def write_result_pair(tmp_path, group=3, labels=("sa", "placebo")):
+def write_result_pair(tmp_path, group="3", labels=("sa", "placebo"), edit=None):
     """Paths of two paired result CSVs over one instance of `group` and two
-    runs, labelled `labels`."""
+    runs, labelled `labels`.  `group` is written as given, so it may be one
+    that no ResultMatrix holds; `edit(fields)` rewrites each row of the
+    second file, given as its list of fields."""
     paths = []
     for i, (label, scores) in enumerate(zip(labels, ([0.0, 0.5], [0.25, 0.0]))):
+        rows = [["a", group, seed, j, label, repr(y)]
+                for j, (seed, y) in enumerate(zip((1, 2), scores))]
+        if i and edit:
+            rows = [edit(row) for row in rows]
         path = tmp_path / f"results_{i}.csv"
-        write_result_csv(ResultMatrix(["a"], [group], [[1, 2]], [scores], label), path)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([CSV_COLUMNS, *rows])
         paths.append(str(path))
     return paths
 
@@ -846,6 +892,22 @@ FAILURES = {
         lambda tmp, mp: ["tune", "--config", str(make_config(tmp)), "--phase", "rsm",
                          "--budget-limit", "-1", "--out", str(tmp / "tune")],
         2, "config error: --budget-limit must be an integer >= 1, got -1"),
+    "tune-zero-runs": (
+        lambda tmp, mp: ["tune", "--config", str(make_config(tmp)), "--phase", "screen",
+                         "--runs", "0", "--out", str(tmp / "tune")],
+        2, "config error: --runs must be an integer >= 1, got 0"),
+    "ber-instances-differ": (
+        lambda tmp, mp: ["ber", *write_result_pair(tmp, edit=lambda row: ["b", *row[1:]]),
+                         "--out", str(tmp / "ber")],
+        2, "bad --delta or result file pair: instance id lists differ"),
+    "ber-run-indices-differ": (
+        lambda tmp, mp: ["ber", *write_result_pair(
+            tmp, edit=lambda row: [*row[:3], 2 * row[3], *row[4:]]), "--out", str(tmp / "ber")],
+        2, "bad --delta or result file pair: run indices differ: [0, 1] vs [0, 2]"),
+    "ber-groups-differ": (
+        lambda tmp, mp: ["ber", *write_result_pair(tmp, edit=lambda row: [row[0], "5", *row[2:]]),
+                         "--out", str(tmp / "ber")],
+        2, "bad --delta or result file pair: instance group keys differ"),
     "report-same-label": (
         lambda tmp, mp: ["report", *[write_result_pair(tmp)[0]] * 2, "--out", str(tmp / "r")],
         2, "bad --delta or result file pair: both result files are labelled 'sa'"),
@@ -870,10 +932,14 @@ FAILURES = {
 @pytest.mark.parametrize("case", list(FAILURES))
 def test_failure_contract(tmp_path, capsys, monkeypatch, case):
     """Each failure ends in its exit code and an empty stdout; stderr closes
-    with one line of the case's prefix and holds no traceback."""
-    argv, code, prefix = FAILURES[case]
-    got, out, err = run_cli(capsys, *argv(tmp_path, monkeypatch))
+    with one line of the case's prefix and holds no traceback.  An exit-2
+    case creates no --out."""
+    make_argv, code, prefix = FAILURES[case]
+    argv = make_argv(tmp_path, monkeypatch)
+    got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (code, ""), err
+    if code == 2 and "--out" in argv:  # a refused input creates no output
+        assert not Path(argv[argv.index("--out") + 1]).exists()
     assert "Traceback" not in err
     if prefix is None:
         assert err == ""

@@ -18,7 +18,6 @@ from saflip.harness import (
     execute,
     ingest_benchmarks,
     manifest,
-    split_train_test,
     summarize,
 )
 
@@ -227,31 +226,49 @@ class TestParseCache:
         assert len(entries(cache_dir)) == (name == "sparse.cnf")
 
 
+def split_picks(tmp_path, split, master_seed, **keys):
+    """The instances that `build_plan` picks from tmp_path/toy on `split`."""
+    config = ExperimentConfig(benchmarks="toy", out_dir="out", split=split,
+                              master_seed=master_seed, validate_phase_transition=False,
+                              base_dir=tmp_path, **keys)
+    plan, instances = config.build_plan()
+    assert instances == plan.instances
+    return instances
+
+
 class TestSplit:
     def test_split_counts(self, tmp_path):
-        toy = write_toy_instances(tmp_path, per_group=25)
-        instances = ingest_benchmarks(toy, validate_phase_transition=False)
-        split_train_test(instances, master_seed=5)
-        for group in sorted({i.group for i in instances}):
-            members = [i for i in instances if i.group == group]
-            assert sum(1 for i in members if i.split == "train") == 20
-            assert sum(1 for i in members if i.split == "test") == 5
+        write_toy_instances(tmp_path / "toy", per_group=25)
+        for split, count in (("train", 20), ("test", 5)):
+            picked = split_picks(tmp_path, split, master_seed=5)
+            assert [i.group for i in picked] == [6] * count + [8] * count
+            assert {i.split for i in picked} == {split}
 
     def test_split_deterministic(self, tmp_path):
-        toy = write_toy_instances(tmp_path, per_group=22)
-        a = split_train_test(
-            ingest_benchmarks(toy, validate_phase_transition=False), master_seed=9
-        )
-        b = split_train_test(
-            ingest_benchmarks(toy, validate_phase_transition=False), master_seed=9
-        )
-        assert [i.split for i in a] == [i.split for i in b]
+        write_toy_instances(tmp_path / "toy", per_group=22)
+        a, b = (manifest(split_picks(tmp_path, "test", master_seed=9)) for _ in range(2))
+        assert a == b
 
     def test_too_few_instances(self, tmp_path):
-        toy = write_toy_instances(tmp_path, per_group=19)
-        instances = ingest_benchmarks(toy, validate_phase_transition=False)
+        write_toy_instances(tmp_path / "toy", per_group=19)
         with pytest.raises(ValueError, match="19"):
-            split_train_test(instances, master_seed=1)
+            split_picks(tmp_path, "train", master_seed=1)
+
+    def test_picks_are_pinned(self, tmp_path):
+        # Taken from the picks of the two-pass selection this one replaced.
+        write_toy_instances(tmp_path / "toy", per_group=23)
+        test = ["toy6-10", "toy6-18", "toy6-20", "toy8-12", "toy8-17", "toy8-21"]
+        ids = [f"toy{n}-{i:02d}" for n in (6, 8) for i in range(23)]
+        for split, expected in (("train", [i for i in ids if i not in test]), ("test", test)):
+            assert [i.instance_id for i in split_picks(tmp_path, split, 5)] == expected
+        limited = split_picks(tmp_path, "test", 5, limit_per_group=2)
+        assert [i.instance_id for i in limited] == ["toy6-10", "toy6-18", "toy8-12", "toy8-17"]
+
+    def test_only_the_kept_groups_need_enough_instances(self, tmp_path):
+        write_toy_instances(tmp_path / "toy", per_group=20, groups=(6,))
+        write_toy_instances(tmp_path / "toy", per_group=6, groups=(8,))
+        picked = split_picks(tmp_path, "train", master_seed=1, groups=[6])
+        assert [i.group for i in picked] == [6] * 20
 
 
 FAST_PARAMS = SolverParams(t0=1.0, alpha=0.9, m_steps=3, mni=4)
@@ -552,6 +569,14 @@ class TestSummarize:
             "sa": {"50": 0.5, "75": 0.75, "overall": 4 / 6},
             "placebo": {"50": 0.0, "75": 0.75, "overall": 0.5},
         }
+
+    def test_every_file_written_is_a_derived_file(self, tmp_path):
+        # So the clean-up of `run` and of `report` reaches every summary output.
+        ym, y0 = self._all_zero_pair()
+        summarize(ym, y0, out_dir=tmp_path)
+        assert set(harness.SUMMARY_FILES) <= set(harness.DERIVED_FILES)
+        harness.remove_derived_files(tmp_path, harness.SUMMARY_FILES)
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
     def test_reports_byte_identical_across_reruns(self, tmp_path):
         ym, y0 = self._all_zero_pair()

@@ -39,6 +39,10 @@ def without_wall_time(journal_text):
     ]
 
 
+def files_under(directory):
+    return {str(p.relative_to(directory)) for p in directory.rglob("*") if p.is_file()}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -439,10 +443,6 @@ class TestBer:
             assert code == 0, err
             assert ("ber_0.0300.csv" in files_under(run_dir)) == bool(delta)
         assert files_under(run_dir) == written
-
-
-def files_under(directory):
-    return {str(p.relative_to(directory)) for p in directory.rglob("*") if p.is_file()}
 
 
 class TestReport:

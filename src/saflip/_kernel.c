@@ -1,5 +1,5 @@
 /* One SA[Flip] or placebo run in C under the acceptance `rule`: the run loop
- * of saflip.annealing (`_run_loop`), step for step the Python reference loop
+ * that saflip._kernel.run calls, step for step the Python reference loop
  * `run_loop` in tests/reference.py.
  *
  * The random stream is CPython's random.Random: MT19937 (`genrand_uint32`),
@@ -225,7 +225,7 @@ static void flip(const Formula *f, State *s, Rng *r, int *perm)
     }
 }
 
-enum { METROPOLIS = 0, COIN = 1 }; /* saflip.annealing.METROPOLIS and COIN */
+enum { METROPOLIS = 0, COIN = 1 }; /* saflip._kernel.METROPOLIS and COIN */
 enum { RUN_OK = 0, RUN_NO_MEMORY = 1 };
 
 /* `accept` of tests/reference.py with the same draws: 1 to accept, 0 to
@@ -240,7 +240,7 @@ static int accept(int rule, Rng *r, double delta_y, double t)
     return random_double(r) < (delta_y <= 0 ? 1.0 : exp(-delta_y / t));
 }
 
-/* One run of `_run_loop` under `rule` on the clauses in lits and starts (see
+/* One run of `run_loop` under `rule` on the clauses in lits and starts (see
  * Formula), its draws seeded from `seed` as by `Random(seed)`.  On RUN_OK,
  * best_values gets the best assignment and out gets the best and the minimum
  * evaluated unsat counts, the Flip calls and the completed temperature

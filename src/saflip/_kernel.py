@@ -9,7 +9,8 @@ not load is rebuilt.  Where `__pycache__` cannot be written, the kernel is
 built into a temporary directory that is removed once the library is loaded.
 `publish` and `prune` keep the cache's policy for this module and for the
 DIMACS parse cache in `harness`.
-The kernel is the only run loop: when it cannot be built, `load` raises
+The kernel is the only run loop, and `run` its only caller, which returns
+the `RunOutcome`; when the kernel cannot be built, `load` raises
 RuntimeError with the compiler's message.
 """
 
@@ -18,7 +19,9 @@ from __future__ import annotations
 import functools
 import os
 import sys
+import time
 from array import array
+from dataclasses import dataclass
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_kernel.c")
@@ -132,24 +135,61 @@ def load():
     return fn
 
 
-def run(fn, formula, params, rule):
-    """One run through the kernel function `fn` from `load()` under the
-    acceptance `rule` (`annealing.METROPOLIS` or `annealing.COIN`), its draws
-    seeded from `params.seed` as by `random.Random(params.seed)`.
+@dataclass(frozen=True)
+class RunOutcome:
+    best_assignment: tuple
+    best_score: float
+    flip_calls: int
+    iterations_completed: int
+    wall_time: float
+    # Minimum score over every solution evaluated during the run.  The
+    # best-tracking rule compares the incumbent, not the freshly evaluated
+    # neighbor, so best_score can exceed this when a better neighbor was
+    # evaluated but immediately replaced.
+    min_evaluated_score: float
 
-    Returns (best values, best unsat count, minimum evaluated unsat count,
-    Flip calls, completed temperature levels).  The call releases the GIL,
-    so runs in several threads go on side by side.
+    @property
+    def solved(self):
+        return self.best_score == 0.0
+
+
+METROPOLIS, COIN = 0, 1  # acceptance rules, numbered as in `_kernel.c`
+
+
+def run(formula, params, rule):
+    """One run of the annealer or the placebo, in one call of the kernel.
+
+    The two differ only in `rule`, the acceptance rule (METROPOLIS or COIN)
+    that decides whether a worse-or-equal neighbor replaces the incumbent at
+    temperature t = t0 * alpha**k of level k.  The draws are seeded from
+    `params.seed` as by `random.Random(params.seed)`.  The Python loop in
+    `tests/reference.py` is the step-for-step reference the kernel is tested
+    against; it documents the RNG draw order and the best-tracking rule.
+
+    The kernel is loaded (or built) before the clock of `wall_time` starts.
+    The call releases the GIL, so runs in several threads go on side by side.
     """
-    n = formula.num_vars
+    fn = load()
+    start = time.perf_counter()
+    n, m = formula.num_vars, formula.num_clauses
     lits, starts = formula.packed
     best = array("i", [0]) * n
+    # What the kernel writes to out[]: best unsat count, minimum evaluated
+    # unsat count, Flip calls, completed temperature levels.
     out = array("q", [0] * 4)
     status = fn(
-        n, formula.num_clauses, lits.buffer_info()[0], starts.buffer_info()[0],
+        n, m, lits.buffer_info()[0], starts.buffer_info()[0],
         params.seed, rule, float(params.t0), float(params.alpha),
         params.m_steps, params.mni, best.buffer_info()[0], out.buffer_info()[0],
     )
     if status:
         raise MemoryError("C kernel could not allocate its run state")
-    return tuple(best), *out
+    best_unsat, min_unsat, flip_calls, k = out
+    return RunOutcome(
+        best_assignment=tuple(best),
+        best_score=best_unsat / m,
+        flip_calls=flip_calls,
+        iterations_completed=k,
+        wall_time=time.perf_counter() - start,
+        min_evaluated_score=min_unsat / m,
+    )

@@ -1,8 +1,8 @@
-"""Simulated annealing over Flip-improved neighbors, plus the shared run skeleton."""
+"""Simulated annealing over Flip-improved neighbors, and the run parameters
+it shares with the placebo."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from . import _kernel
@@ -44,52 +44,7 @@ class SolverParams:
             raise ValueError("seed must be an integer in [0, 2**64)")
 
 
-@dataclass(frozen=True)
-class RunOutcome:
-    best_assignment: tuple
-    best_score: float
-    flip_calls: int
-    iterations_completed: int
-    wall_time: float
-    # Minimum score over every solution evaluated during the run.  The
-    # best-tracking rule compares the incumbent, not the freshly evaluated
-    # neighbor, so best_score can exceed this when a better neighbor was
-    # evaluated but immediately replaced.
-    min_evaluated_score: float
-
-    @property
-    def solved(self):
-        return self.best_score == 0.0
-
-
-METROPOLIS, COIN = 0, 1  # acceptance rules, numbered as in `_kernel.c`
-
-
-def _run_loop(formula, params, rule):
-    """Shared solver skeleton, run in one call of the C kernel (`_kernel.c`).
-
-    The annealer and the placebo differ only in `rule`, the acceptance rule
-    (METROPOLIS or COIN) that decides whether a worse-or-equal neighbor
-    replaces the incumbent at temperature t = t0 * alpha**k of level k.  The
-    Python loop in `tests/reference.py` is the step-for-step reference the
-    kernel is tested against; it documents the RNG draw order and the
-    best-tracking rule.
-    """
-    kernel = _kernel.load()  # loaded (or built) on the first call, before the clock
-    start = time.perf_counter()
-    best, best_unsat, min_unsat, flip_calls, k = _kernel.run(kernel, formula, params, rule)
-    m = formula.num_clauses
-    return RunOutcome(
-        best_assignment=best,
-        best_score=best_unsat / m,
-        flip_calls=flip_calls,
-        iterations_completed=k,
-        wall_time=time.perf_counter() - start,
-        min_evaluated_score=min_unsat / m,
-    )
-
-
 def run_sa_flip(formula, params):
     """Simulated annealing with geometric cooling; every candidate is
     post-processed by the Flip heuristic before evaluation."""
-    return _run_loop(formula, params, METROPOLIS)
+    return _kernel.run(formula, params, _kernel.METROPOLIS)

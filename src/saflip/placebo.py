@@ -1,8 +1,8 @@
-"""Placebo counterpart of the annealer: same skeleton, coin-flip acceptance."""
+"""Placebo counterpart of the annealer: the same run, coin-flip acceptance."""
 
 from __future__ import annotations
 
-from .annealing import COIN, _run_loop
+from . import _kernel
 
 
 def run_placebo_flip(formula, params):
@@ -13,4 +13,4 @@ def run_placebo_flip(formula, params):
     params.t0 and params.alpha are accepted but ignored; only m_steps, mni,
     and seed are used.
     """
-    return _run_loop(formula, params, COIN)
+    return _kernel.run(formula, params, _kernel.COIN)

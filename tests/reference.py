@@ -2,8 +2,8 @@
 must match step for step.
 
 `run_loop(formula, params, rule)` is the reference for
-`saflip.annealing._run_loop`: the parity tests run both on the same inputs
-and compare the outcomes, with `wall_time` 0 on this side.
+`saflip._kernel.run(formula, params, rule)`: the parity tests run both on the
+same inputs and compare the outcomes, with `wall_time` 0 on this side.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 
-from saflip.annealing import COIN, RunOutcome
+from saflip._kernel import COIN, RunOutcome
 from saflip.cnf import EvalState, random_assignment
 from saflip.flip import flip
 

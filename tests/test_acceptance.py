@@ -15,7 +15,8 @@ import random
 import pytest
 
 from reference import accept
-from saflip.annealing import COIN, SolverParams, run_sa_flip
+from saflip._kernel import COIN
+from saflip.annealing import SolverParams, run_sa_flip
 from saflip.ber import ber_grouped
 from saflip.doe import box_behnken_4, estimate_effects, fractional_factorial_2_4_1
 from saflip.flip import flip

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from reference import accept, acceptance_probability
-from saflip.annealing import COIN, METROPOLIS, SolverParams, run_sa_flip
+from saflip._kernel import COIN, METROPOLIS
+from saflip.annealing import SolverParams, run_sa_flip
 from saflip.cnf import CnfFormula, EvalState
 
 from conftest import PINNED, random_3cnf, timeless

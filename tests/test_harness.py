@@ -9,7 +9,8 @@ import threading
 import pytest
 
 from saflip import _kernel, harness
-from saflip.annealing import RunOutcome, SolverParams
+from saflip._kernel import RunOutcome
+from saflip.annealing import SolverParams
 from saflip.cnf import parse_dimacs, serialize_dimacs
 from saflip.harness import (
     ExperimentConfig,

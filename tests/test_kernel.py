@@ -17,14 +17,14 @@ import pytest
 
 import reference
 from saflip import _kernel
-from saflip.annealing import COIN, METROPOLIS, SolverParams, run_sa_flip
+from saflip._kernel import COIN, METROPOLIS
+from saflip.annealing import SolverParams, run_sa_flip
 from saflip.cnf import CnfFormula
 from saflip.placebo import run_placebo_flip
 
 from conftest import PINNED, random_3cnf, run_python
 
-SOLVERS = (run_sa_flip, run_placebo_flip)
-RULES = {run_sa_flip: METROPOLIS, run_placebo_flip: COIN}
+RULES = (METROPOLIS, COIN)
 UNSAT_PAIR = CnfFormula(1, ((1,), (-1,)), source_id="unsat-pair")
 TRAJECTORY_TOOL = Path(__file__).resolve().parents[1] / "tools" / "trajectory_checksum.py"
 mixed_cnf = runpy.run_path(str(TRAJECTORY_TOOL))["mixed_cnf"]
@@ -35,25 +35,33 @@ def kernel():
     return _kernel.load()
 
 
-def result(solver, formula, params):
-    """The outcome, or the raised error, as a comparable value."""
+def fields(outcome):
+    """`dataclasses.asdict` of a RunOutcome without its `wall_time`."""
+    out = dataclasses.asdict(outcome)
+    del out["wall_time"]
+    return out
+
+
+def result(formula, params, rule, run=_kernel.run):
+    """The `fields` of `run(formula, params, rule)`, or the raised error, as
+    a comparable value."""
     try:
-        out = solver(formula, params)
+        out = run(formula, params, rule)
     except Exception as exc:
         return type(exc), str(exc)
-    return dataclasses.replace(out, wall_time=0.0)
+    return fields(out)
 
 
-def reference_result(solver, formula, params):
-    """`result` of the reference loop under `solver`'s acceptance rule."""
-    return result(lambda f, p: reference.run_loop(f, p, RULES[solver]), formula, params)
+def reference_result(formula, params, rule):
+    """`result` of the reference loop."""
+    return result(formula, params, rule, run=reference.run_loop)
 
 
 def outcomes():
-    """Results of a few runs of both solvers on random 15-variable formulas."""
+    """Results of a few runs under both rules on random 15-variable formulas."""
     rng = random.Random(7)
     cases = [(random_3cnf(15, 64, rng), SolverParams(**PINNED, seed=s)) for s in range(3)]
-    return [result(solver, f, p) for f, p in cases for solver in SOLVERS]
+    return [result(f, p, rule) for f, p in cases for rule in RULES]
 
 
 @pytest.fixture(scope="module")
@@ -67,10 +75,25 @@ def test_fixture_grid_matches_reference(kernel, fixture_benchmarks):
     for inst in fixture_benchmarks:
         for seed in (1, 2, 3):
             params = SolverParams(**PINNED, seed=seed)
-            for solver in SOLVERS:
-                fast = result(solver, inst.formula, params)
-                assert fast == reference_result(solver, inst.formula, params), (
-                    inst.instance_id, seed, solver.__name__)
+            for rule in RULES:
+                fast = result(inst.formula, params, rule)
+                assert fast == reference_result(inst.formula, params, rule), (
+                    inst.instance_id, seed, rule)
+
+
+def test_solvers_are_the_kernel_run_under_their_rule(kernel):
+    """At 5 clauses per variable the runs spend their whole budget, and the
+    two rules end in different outcomes at some seed."""
+    formula = random_3cnf(40, 200, random.Random(4))
+    parted = 0
+    for seed in range(3):
+        params = SolverParams(**PINNED, seed=seed)
+        sa = fields(run_sa_flip(formula, params))
+        placebo = fields(run_placebo_flip(formula, params))
+        assert sa == result(formula, params, METROPOLIS)
+        assert placebo == result(formula, params, COIN)
+        parted += placebo != sa
+    assert parted
 
 
 def random_case(rng, i):
@@ -96,11 +119,11 @@ def test_random_formulas_match_reference(kernel):
     past_zero = []  # zero-temperature SA cases still unsolved after level 12
     for i in range(320):
         formula, params = random_case(rng, i)
-        for solver in SOLVERS:
-            fast = result(solver, formula, params)
-            assert fast == reference_result(solver, formula, params), (i, solver.__name__)
-            if (i % 40 == 1 and solver is run_sa_flip and not fast.solved
-                    and fast.iterations_completed > 12):
+        for rule in RULES:
+            fast = result(formula, params, rule)
+            assert fast == reference_result(formula, params, rule), (i, rule)
+            if (i % 40 == 1 and rule == METROPOLIS and fast["best_score"] > 0
+                    and fast["iterations_completed"] > 12):
                 past_zero.append(i)
     assert past_zero[0] == 1
 
@@ -111,10 +134,10 @@ def test_underflowed_temperature_matches_reference(kernel):
     formula = CnfFormula(3, ((1,), (-1,), (2, 3)))
     for seed in range(5):
         params = SolverParams(alpha=0.5, m_steps=1, mni=1100, seed=seed)
-        for solver in SOLVERS:
-            fast = result(solver, formula, params)
-            assert fast == reference_result(solver, formula, params), (seed, solver.__name__)
-            assert fast.iterations_completed == 1100
+        for rule in RULES:
+            fast = result(formula, params, rule)
+            assert fast == reference_result(formula, params, rule), (seed, rule)
+            assert fast["iterations_completed"] == 1100
 
 
 def test_mixed_width_formulas_match_reference(kernel):
@@ -127,10 +150,10 @@ def test_mixed_width_formulas_match_reference(kernel):
         params = SolverParams(t0=10 ** rng.uniform(-3, 3), alpha=rng.uniform(0.01, 0.99),
                               m_steps=rng.randint(1, 20), mni=rng.randint(1, 40),
                               seed=rng.randrange(2**64))
-        for solver in SOLVERS:
-            fast = result(solver, formula, params)
-            assert fast == reference_result(solver, formula, params), (i, solver.__name__)
-            unsolved += not fast.solved
+        for rule in RULES:
+            fast = result(formula, params, rule)
+            assert fast == reference_result(formula, params, rule), (i, rule)
+            unsolved += fast["best_score"] > 0
     assert tautologies > 100 and unsolved > 100
 
 
@@ -144,10 +167,10 @@ def test_shuffle_at_powers_of_two_matches_reference(kernel, n):
     unsolved = 0
     for seed in range(2):
         params = SolverParams(t0=1.0, alpha=0.9, m_steps=3, mni=2, seed=seed)
-        for solver in SOLVERS:
-            fast = result(solver, formula, params)
-            assert fast == reference_result(solver, formula, params), (seed, solver.__name__)
-            unsolved += not fast.solved
+        for rule in RULES:
+            fast = result(formula, params, rule)
+            assert fast == reference_result(formula, params, rule), (seed, rule)
+            unsolved += fast["best_score"] > 0
     assert unsolved > 0 or n < 3
 
 
@@ -160,10 +183,10 @@ def test_seeding_at_key_length_edges_matches_reference(kernel, seed):
     formula = mixed_cnf(40, 160, rng)
     formula = CnfFormula(formula.num_vars, formula.clauses + ((1,), (-1,)))
     params = SolverParams(t0=1.0, alpha=0.9, m_steps=4, mni=3, seed=seed)
-    for solver in SOLVERS:
-        fast = result(solver, formula, params)
-        assert fast == reference_result(solver, formula, params), solver.__name__
-        assert fast.flip_calls == 1 + params.m_steps * params.mni
+    for rule in RULES:
+        fast = result(formula, params, rule)
+        assert fast == reference_result(formula, params, rule), rule
+        assert fast["flip_calls"] == 1 + params.m_steps * params.mni
 
 
 def sanitizer_runtimes():
@@ -206,26 +229,27 @@ def test_kernel_indexing_is_clean_under_sanitizers(kernel, tmp_path, monkeypatch
         params = SolverParams(t0=10 ** rng.uniform(-3, 3), alpha=rng.uniform(0.01, 0.99),
                               m_steps=rng.randint(1, 10), mni=rng.randint(1, 10),
                               seed=rng.randrange(2**64))
-        for rule in (METROPOLIS, COIN):
+        for rule in RULES:
             cases.append([formula.num_vars, formula.clauses, dataclasses.asdict(params), rule])
-            expected.append(_kernel.run(kernel, formula, params, rule))
+            expected.append(fields(_kernel.run(formula, params, rule)))
     # Where just x and y of a clause are true, tx names x ^ y, which may exceed n.
     assert any(abs(x) ^ abs(y) > n for n, clauses, _, _ in cases
                for c in clauses for x, y in itertools.combinations(c, 2))
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps(cases))
     code = (
-        "import ctypes, json, sys\n"
+        "import ctypes, dataclasses, json, sys\n"
         "from pathlib import Path\n"
         "from saflip import _kernel\n"
         "from saflip.annealing import SolverParams\n"
         "from saflip.cnf import CnfFormula\n"
         "_kernel._library = lambda: ctypes.CDLL(sys.argv[1])\n"
-        "fn = _kernel.load()\n"
         "out = []\n"
         "for n, clauses, params, rule in json.loads(Path(sys.argv[2]).read_text()):\n"
         "    params = SolverParams(**params)\n"
-        "    out.append(_kernel.run(fn, CnfFormula(n, tuple(map(tuple, clauses))), params, rule))\n"
+        "    run = _kernel.run(CnfFormula(n, tuple(map(tuple, clauses))), params, rule)\n"
+        "    out.append(dataclasses.asdict(run))\n"
+        "    del out[-1]['wall_time']\n"
         "print(json.dumps(out))\n"
     )
     monkeypatch.setenv("LD_PRELOAD", " ".join(runtimes))
@@ -238,15 +262,15 @@ def test_kernel_indexing_is_clean_under_sanitizers(kernel, tmp_path, monkeypatch
 def test_packed_arrays_are_built_once_per_formula_and_dropped_with_it(kernel):
     formula = random_3cnf(15, 64, random.Random(3))
     params = SolverParams(**PINNED, seed=1)
-    first = result(run_sa_flip, formula, params)
+    first = result(formula, params, METROPOLIS)
     lits, starts = pair = formula.packed
-    assert result(run_sa_flip, formula, params) == first
+    assert result(formula, params, METROPOLIS) == first
     assert formula.packed is pair
     assert list(lits) == [lit for c in formula.clauses for lit in c]
     assert list(starts) == list(range(0, 3 * 64 + 1, 3))
     copy = CnfFormula(formula.num_vars, formula.clauses, formula.source_id)
     assert copy == formula and hash(copy) == hash(formula) and repr(copy) == repr(formula)
-    assert result(run_sa_flip, copy, params) == first
+    assert result(copy, params, METROPOLIS) == first
     assert copy.packed is not pair
     alive = weakref.ref(lits)
     del formula, lits, starts, pair
@@ -254,14 +278,13 @@ def test_packed_arrays_are_built_once_per_formula_and_dropped_with_it(kernel):
 
 
 def test_threads_share_one_formula_that_nothing_has_packed(kernel):
-    """More threads than cores run both solvers on one fresh formula, with
+    """More threads than cores run both rules on one fresh formula, with
     a tiny switch interval so they interleave while its arrays are built;
     each outcome must equal the serial one for its seed.  The clauses x1
     and -x1 make every run spend its whole budget in the kernel."""
     clauses = random_3cnf(40, 170, random.Random(11)).clauses + ((1,), (-1,))
-    jobs = [(solver, SolverParams(**PINNED, seed=seed)) for seed in range(8)
-            for solver in SOLVERS]
-    serial = [result(solver, CnfFormula(40, clauses), params) for solver, params in jobs]
+    jobs = [(SolverParams(**PINNED, seed=seed), rule) for seed in range(8) for rule in RULES]
+    serial = [result(CnfFormula(40, clauses), params, rule) for params, rule in jobs]
     formula = CnfFormula(40, clauses)
     assert "packed" not in vars(formula)
     outcomes = [None] * len(jobs)
@@ -270,8 +293,8 @@ def test_threads_share_one_formula_that_nothing_has_packed(kernel):
     def work(k):
         start.wait(timeout=30)
         for i in range(k, len(jobs), 4):
-            solver, params = jobs[i]
-            outcomes[i] = result(solver, formula, params)
+            params, rule = jobs[i]
+            outcomes[i] = result(formula, params, rule)
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
     interval = sys.getswitchinterval()

@@ -2,7 +2,8 @@ import dataclasses
 import random
 
 from reference import accept
-from saflip.annealing import COIN, SolverParams
+from saflip._kernel import COIN
+from saflip.annealing import SolverParams
 from saflip.cnf import CnfFormula
 from saflip.placebo import run_placebo_flip
 

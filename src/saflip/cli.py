@@ -127,7 +127,9 @@ def cmd_run(args):
     with _exit_on(Exception, EXIT_RUNTIME, "experiment failed"):
         matrices, failed = harness.execute(plan, algorithms=algorithms, jobs=args.jobs,
                                            journal_path=journal, progress=progress)
-    # Only now: a resume that `execute` refuses leaves the old manifest.
+    # Only now: a resume that `execute` refuses leaves every file as it was,
+    # and one it completes keeps no file the earlier call derived.
+    harness.remove_derived_files(out_dir)
     _write_manifest(plan.instances, out_dir / "manifest.json")
     if failed:
         _err(f"WARNING: {len(failed)} failed cells excluded from both matrices: {failed}")
@@ -255,6 +257,8 @@ def cmd_tune(args):
         return {"screening": str(path)}
 
     trace_path = out_dir / "rsm_trace.json"
+    params_path = out_dir / "tuned_params.json"
+    params_path.unlink(missing_ok=True)  # an earlier walk's result must not outlive this one
     trace = []
     try:
         final = doe.rsm_walk(plan.params, mean_score, trace, budget_limit=args.budget_limit,
@@ -264,7 +268,6 @@ def cmd_tune(args):
                                   f"partial trace at {trace_path}") from exc
     finally:
         trace_path.write_text(json.dumps(trace, indent=2) + "\n")
-    params_path = out_dir / "tuned_params.json"
     params_path.write_text(json.dumps({"params": dataclasses.asdict(final)}, indent=2) + "\n")
     _err(f"final center: {final}")
     return {"trace": str(trace_path), "params": str(params_path)}

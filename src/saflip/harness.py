@@ -384,8 +384,9 @@ def _read_journal(path):
 
 # The files a run derives from its journal: `results_<algorithm>.csv`, then
 # what `summarize` (`report`) writes, of which `ber` writes the BER tables.  A
-# run that does not resume removes them all first, and `report` and `ber`
-# their own, so no file of an earlier call stands beside the new call's.
+# run that does not resume removes them all first, every run once its cells
+# are done, and `report` and `ber` their own, so no file of an earlier call
+# stands beside the new call's.
 BER_TABLES = ("ber_*.csv",)
 SUMMARY_FILES = ("summary.json", *BER_TABLES, "plots/ecdf_*", "plots/hist_*")
 DERIVED_FILES = ("results_*.csv", *SUMMARY_FILES)
@@ -540,12 +541,15 @@ class ExperimentConfig:
 
     def build_plan(self):
         """(plan, its instances): of each group ingested from `benchmarks`
-        (or of each in `groups`), the `split` side of a shuffle seeded by
-        `master_seed` whose first TRAIN_PER_GROUP are "train", then up to
-        `limit_per_group`, in ingest order."""
+        (or of each in `groups`, which must all be ingested), the `split`
+        side of a shuffle seeded by `master_seed` whose first TRAIN_PER_GROUP
+        are "train", then up to `limit_per_group`, in ingest order."""
         instances = ingest_benchmarks(
             self.benchmarks, validate_phase_transition=self.validate_phase_transition
         )
+        missing = sorted(set(self.groups) - {inst.group for inst in instances})
+        if missing:
+            raise ValueError(f"groups {missing} match no ingested instance")
         picked = []
         # Ingest sorts by (group, instance id), which groupby and the shuffle need.
         for group, members in itertools.groupby(instances, lambda inst: inst.group):

@@ -182,6 +182,28 @@ class TestRun:
                                  "--out", str(tmp_path / "report"))
         assert (code, out) == (2, "")
 
+    def test_resume_replaces_every_derived_file(self, tmp_path, capsys):
+        config = make_config(tmp_path, deltas=[0.03])
+        code, _, _ = run_cli(capsys, "run", "--config", str(config))
+        assert code == 0
+        out_dir = tmp_path / "out"
+        assert (out_dir / "ber_0.0300.csv").exists()
+        doc = json.loads(config.read_text())
+        doc["deltas"] = [0.05]
+        config.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "run", "--config", str(config), "--resume")
+        assert code == 0
+        assert "run 0" not in err  # every cell came from the journal
+        fresh = tmp_path / "fresh"
+        code, _, _ = run_cli(capsys, "run", "--config", str(config), "--out", str(fresh))
+        assert code == 0
+        assert files_under(out_dir) == files_under(fresh)
+        assert "ber_0.0300.csv" not in files_under(out_dir)
+        for name in files_under(fresh) - {"journal.jsonl"}:
+            assert (out_dir / name).read_bytes() == (fresh / name).read_bytes(), name
+        assert without_wall_time((out_dir / "journal.jsonl").read_text()) == without_wall_time(
+            (fresh / "journal.jsonl").read_text())
+
     def test_optimized_python_writes_the_same_outputs(self, tmp_path, session_cache):
         # `python -O` strips asserts: no check the run relies on may be one.
         config = tmp_path / "config.json"
@@ -608,6 +630,22 @@ class TestTune:
         assert json.loads((tmp_path / "tune" / "rsm_trace.json").read_text()) == []
         assert not (tmp_path / "tune" / "tuned_params.json").exists()
 
+    def test_failing_rsm_leaves_no_earlier_tuned_params(self, tmp_path, capsys, monkeypatch):
+        config = make_config(
+            tmp_path, params={"t0": 50.0, "alpha": 0.9, "m_steps": 20, "mni": 50}
+        )
+        argv = ["tune", "--config", str(config), "--phase", "rsm", "--runs", "1",
+                "--budget-limit", "1200", "--out", str(tmp_path / "tune")]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert (tmp_path / "tune" / "tuned_params.json").exists()
+        record_sa_calls(monkeypatch, fail_after=0)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "partial trace" in err
+        assert json.loads((tmp_path / "tune" / "rsm_trace.json").read_text()) == []
+        assert not (tmp_path / "tune" / "tuned_params.json").exists()
+
     def test_rsm_failure_after_one_step_keeps_that_step(self, tmp_path, capsys, monkeypatch):
         # From this start the walk's first step moves the center, so the
         # walk goes on to a second design, whose first evaluation fails.
@@ -892,6 +930,10 @@ FAILURES = {
         lambda tmp, mp: ["tune", "--config", str(make_config(tmp)), "--phase", "rsm",
                          "--budget-limit", "-1", "--out", str(tmp / "tune")],
         2, "config error: --budget-limit must be an integer >= 1, got -1"),
+    "run-group-not-ingested": (
+        lambda tmp, mp: ["run", "--config", str(make_config(tmp, groups=[100, 6, 12])),
+                         "--out", str(tmp / "out")],
+        2, "config error: groups [12, 100] match no ingested instance"),
     "tune-zero-runs": (
         lambda tmp, mp: ["tune", "--config", str(make_config(tmp)), "--phase", "screen",
                          "--runs", "0", "--out", str(tmp / "tune")],

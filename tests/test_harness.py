@@ -625,6 +625,14 @@ class TestConfig:
         assert plan.instances[0].group == 6
         assert plan.params.m_steps == 2
 
+    def test_groups_not_ingested_are_refused_by_name(self, tmp_path):
+        write_toy_instances(tmp_path / "toy", per_group=1)
+        config = ExperimentConfig(benchmarks="toy", out_dir="out", groups=[8, 12, 6, 10],
+                                  validate_phase_transition=False, base_dir=tmp_path)
+        with pytest.raises(ValueError) as info:
+            config.build_plan()
+        assert str(info.value) == "groups [10, 12] match no ingested instance"
+
     def test_split_key_keeps_one_side_of_the_split(self, tmp_path):
         write_toy_instances(tmp_path / "toy", per_group=22, groups=(6,))
         picked = {}

@@ -203,6 +203,10 @@ class TestRun:
             assert (out_dir / name).read_bytes() == (fresh / name).read_bytes(), name
         assert without_wall_time((out_dir / "journal.jsonl").read_text()) == without_wall_time(
             (fresh / "journal.jsonl").read_text())
+        code, _, _ = run_cli(capsys, "run", "--config", str(config), "--resume",
+                             "--algorithms", "sa")
+        assert code == 0
+        assert files_under(out_dir) == {"journal.jsonl", "manifest.json", "results_sa.csv"}
 
     def test_optimized_python_writes_the_same_outputs(self, tmp_path, session_cache):
         # `python -O` strips asserts: no check the run relies on may be one.

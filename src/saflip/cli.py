@@ -69,16 +69,20 @@ def cmd_fetch(args):
             else:
                 import urllib.request
 
-                cache.mkdir(parents=True, exist_ok=True)
-                part = dest.with_suffix(dest.suffix + ".part")
                 _err(f"downloading {source}")
                 try:
                     with urllib.request.urlopen(source, timeout=60) as resp:
-                        part.write_bytes(resp.read())
-                    part.rename(dest)
+                        data = resp.read()
                 except Exception as exc:  # http.client's errors are not OSError
-                    part.unlink(missing_ok=True)
                     raise _Exit(EXIT_USAGE, f"fetch failed for {source}: {exc}") from exc
+                cache.mkdir(parents=True, exist_ok=True)
+                part = dest.with_suffix(dest.suffix + ".part")
+                try:
+                    part.write_bytes(data)
+                    part.rename(dest)
+                except OSError:
+                    part.unlink(missing_ok=True)
+                    raise
             fetched.append(dest)
         else:
             path = Path(source)
@@ -205,8 +209,6 @@ def cmd_tune(args):
         else:
             # The walk's first design must already lie inside the bounds.
             doe.fractional_factorial_2_4_1(plan.params)
-    created = not out_dir.exists()
-    out_dir.mkdir(parents=True, exist_ok=True)  # before any row: an --out file fails here
 
     # Seed block b is run indices b*runs .. b*runs + runs-1.  Every screen
     # row runs block 0 (common random numbers); RSM evaluation b = 1, 2, ...
@@ -225,20 +227,14 @@ def cmd_tune(args):
         return math.fsum(ys) / len(ys)
 
     if args.phase == "screen":
+        path = out_dir / "screening_effects.json"
+        path.unlink(missing_ok=True)  # an earlier screen's effects must not outlive this one
         rows = []
-        try:
-            with _exit_on(RuntimeError, EXIT_RUNTIME, "tuning failed"):
-                for row, params in zip(design.coded_rows, design.decoded):
-                    rows.append({"coded": list(row), "params": dataclasses.asdict(params),
-                                 "mean_y": mean_score(params)})
-                    _err(f"screen row {row}: mean y = {rows[-1]['mean_y']:.6f}")
-        except BaseException:
-            # The screen writes nothing before its last row, so a directory
-            # this call made is still empty; rmdir removes no other.
-            if created:
-                with contextlib.suppress(OSError):
-                    out_dir.rmdir()
-            raise
+        with _exit_on(RuntimeError, EXIT_RUNTIME, "tuning failed"):
+            for row, params in zip(design.coded_rows, design.decoded):
+                rows.append({"coded": list(row), "params": dataclasses.asdict(params),
+                             "mean_y": mean_score(params)})
+                _err(f"screen row {row}: mean y = {rows[-1]['mean_y']:.6f}")
         effects = doe.estimate_effects(design, [rec["mean_y"] for rec in rows])
         doc = {
             "design": "box-behnken-4",
@@ -251,7 +247,7 @@ def cmd_tune(args):
             "main_effects": effects.main_effects,
             "interactions": effects.interactions,
         }
-        path = out_dir / "screening_effects.json"
+        out_dir.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(doc, indent=2) + "\n")
         _err("main effects: " + json.dumps(effects.main_effects))
         return {"screening": str(path)}
@@ -259,6 +255,7 @@ def cmd_tune(args):
     trace_path = out_dir / "rsm_trace.json"
     params_path = out_dir / "tuned_params.json"
     params_path.unlink(missing_ok=True)  # an earlier walk's result must not outlive this one
+    out_dir.mkdir(parents=True, exist_ok=True)
     trace = []
     try:
         final = doe.rsm_walk(plan.params, mean_score, trace, budget_limit=args.budget_limit,

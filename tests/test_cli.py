@@ -1,8 +1,10 @@
 import csv
 import gzip
 import hashlib
+import io
 import json
 import random
+import urllib.request
 import xml.dom.minidom
 from pathlib import Path
 
@@ -14,6 +16,10 @@ from saflip.ber import CSV_COLUMNS, read_result_csv
 
 from conftest import DATA_DIR, run_python
 from test_harness import write_toy_instances
+
+
+# Config params whose RSM walk starts inside every factor's bounds.
+RSM_START = {"t0": 50.0, "alpha": 0.9, "m_steps": 20, "mni": 50}
 
 
 def make_config(tmp_path, per_group=1, n_runs=2, **overrides):
@@ -559,10 +565,7 @@ class TestTune:
     def test_rsm_evaluations_draw_fresh_seed_blocks(
         self, tmp_path, capsys, monkeypatch
     ):
-        config = make_config(
-            tmp_path, per_group=1,
-            params={"t0": 50.0, "alpha": 0.9, "m_steps": 20, "mni": 50},
-        )
+        config = make_config(tmp_path, per_group=1, params=RSM_START)
         calls = record_sa_calls(monkeypatch)
         code, _, _ = run_cli(
             capsys, "tune", "--config", str(config), "--phase", "rsm",
@@ -618,12 +621,23 @@ class TestTune:
         assert "tuning failed" in err
         assert list((tmp_path / "tune").iterdir()) == []
 
+    def test_failed_screen_leaves_no_earlier_effects(self, tmp_path, capsys, monkeypatch):
+        config = make_config(tmp_path)
+        argv = ["tune", "--config", str(config), "--phase", "screen", "--runs", "1",
+                "--out", str(tmp_path / "tune")]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert (tmp_path / "tune" / "screening_effects.json").exists()
+        solver_raising(monkeypatch, RuntimeError("boom"))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "tuning failed" in err
+        assert list((tmp_path / "tune").iterdir()) == []
+
     def test_failing_solver_fails_rsm_with_partial_trace(
         self, tmp_path, capsys, monkeypatch
     ):
-        config = make_config(
-            tmp_path, params={"t0": 50.0, "alpha": 0.9, "m_steps": 20, "mni": 50}
-        )
+        config = make_config(tmp_path, params=RSM_START)
         record_sa_calls(monkeypatch, fail_after=0)
         code, out, err = run_cli(
             capsys, "tune", "--config", str(config), "--phase", "rsm",
@@ -635,9 +649,7 @@ class TestTune:
         assert not (tmp_path / "tune" / "tuned_params.json").exists()
 
     def test_failing_rsm_leaves_no_earlier_tuned_params(self, tmp_path, capsys, monkeypatch):
-        config = make_config(
-            tmp_path, params={"t0": 50.0, "alpha": 0.9, "m_steps": 20, "mni": 50}
-        )
+        config = make_config(tmp_path, params=RSM_START)
         argv = ["tune", "--config", str(config), "--phase", "rsm", "--runs", "1",
                 "--budget-limit", "1200", "--out", str(tmp_path / "tune")]
         code, _, _ = run_cli(capsys, *argv)
@@ -681,10 +693,7 @@ class TestTune:
         assert set(doc["main_effects"]) == {"t0", "alpha", "m_steps", "mni"}
 
     def test_rsm_budget_stop(self, tmp_path, capsys):
-        config = make_config(
-            tmp_path, per_group=1, n_runs=1,
-            params={"t0": 50.0, "alpha": 0.9, "m_steps": 20, "mni": 50},
-        )
+        config = make_config(tmp_path, per_group=1, n_runs=1, params=RSM_START)
         code, out, _ = run_cli(
             capsys, "tune", "--config", str(config), "--phase", "rsm",
             "--runs", "1", "--budget-limit", "1200",
@@ -812,6 +821,20 @@ class TestFetch:
         assert code == 2
         assert list(cache.glob("*.part")) == []
         assert list(cache.glob("*.tar.gz")) == []
+
+    def test_download_that_cannot_be_written_leaves_no_part_file(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def cannot_rename(path, target):
+            raise PermissionError(13, "Permission denied", str(target))
+
+        monkeypatch.setattr(urllib.request, "urlopen", lambda url, timeout: io.BytesIO(GOOD_CNF))
+        monkeypatch.setattr(Path, "rename", cannot_rename)
+        cache = tmp_path / "cache"
+        code, out, err = run_cli(capsys, "fetch", "http://127.0.0.1:1/a.cnf",
+                                 "--cache-dir", str(cache), "--no-validate")
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1].startswith("fetch failed: [Errno 13] Permission denied")
+        assert list(cache.iterdir()) == []
 
 
 GOOD_CNF = b"p cnf 3 2\n1 -2 3 0\n-1 2 0\n"
@@ -967,10 +990,19 @@ FAILURES = {
     "ber-out-existing-file": (
         lambda tmp, mp: ["ber", *write_result_pair(tmp), "--out", existing_file(tmp)],
         1, "ber failed: [Errno 17] File exists: "),
+    # Removing an earlier screening_effects.json, before any row, refuses the file.
     "tune-out-existing-file": (
         lambda tmp, mp: ["tune", "--config", str(make_config(tmp)), "--phase", "screen",
                          "--out", existing_file(tmp)],
-        1, "tune failed: [Errno 17] File exists: "),
+        1, "tune failed: [Errno 20] Not a directory: "),
+    "tune-rsm-out-existing-file": (
+        lambda tmp, mp: ["tune", "--config", str(make_config(tmp, params=RSM_START)),
+                         "--phase", "rsm", "--out", existing_file(tmp)],
+        1, "tune failed: [Errno 20] Not a directory: "),
+    "fetch-cache-dir-existing-file": (
+        lambda tmp, mp: ["fetch", str(write_toy_instances(tmp / "toy", per_group=1)),
+                         "--cache-dir", existing_file(tmp), "--no-validate"],
+        1, "fetch failed: [Errno 17] File exists: "),
     "keyboard-interrupt": (interrupted_run, 1, None),
 }
 
@@ -979,17 +1011,18 @@ FAILURES = {
 def test_failure_contract(tmp_path, capsys, monkeypatch, case):
     """Each failure ends in its exit code and an empty stdout; stderr closes
     with one line of the case's prefix and holds no traceback.  An exit-2
-    case creates no --out."""
+    case creates no --out or --cache-dir."""
     make_argv, code, prefix = FAILURES[case]
     argv = make_argv(tmp_path, monkeypatch)
     got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (code, ""), err
-    if code == 2 and "--out" in argv:  # a refused input creates no output
-        assert not Path(argv[argv.index("--out") + 1]).exists()
+    for flag in ("--out", "--cache-dir"):
+        if code == 2 and flag in argv:  # a refused input creates no output
+            assert not Path(argv[argv.index(flag) + 1]).exists()
     assert "Traceback" not in err
     if prefix is None:
         assert err == ""
     else:
         assert err.splitlines()[-1].startswith(prefix), err
-    if case.endswith("-out-existing-file"):
+    if case.endswith("-existing-file"):
         assert len(err.splitlines()) == 1

@@ -59,13 +59,16 @@ def _write_manifest(instances, path):
 def cmd_fetch(args):
     cache = Path(args.cache_dir)
     sources = args.source or [f"{SATLIB_BASE_URL}/{a}.tar.gz" for a in SATLIB_ARCHIVES]
+    urls = {s: s.rsplit("/", 1)[-1] for s in sources if s.startswith(("http://", "https://"))}
+    for url, name in urls.items():  # all before any download: ingest reads a file by its suffix
+        if not name.endswith(harness.SOURCE_SUFFIXES):
+            raise _Exit(EXIT_USAGE, f"unsupported benchmark source: {url}")
     fetched = []
     for source in sources:
-        if source.startswith(("http://", "https://")):
-            name = source.rsplit("/", 1)[-1]
-            dest = cache / name
+        if source in urls:
+            dest = cache / urls[source]
             if dest.exists():
-                _err(f"{name}: up to date")
+                _err(f"{dest.name}: up to date")
             else:
                 import urllib.request
 

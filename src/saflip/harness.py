@@ -85,7 +85,8 @@ def _validate_phase_transition(formula, origin):
 
 def _iter_cnf_texts(source):
     """Yield (name, text) for every .cnf found under a path: plain files,
-    directories, .tar(.gz) archives, and lone .gz files."""
+    directories, .tar(.gz) archives, and lone .gz files, each read as its
+    suffix says."""
     path = Path(source)
     if path.is_dir():
         for child in sorted(path.rglob("*")):
@@ -105,7 +106,7 @@ def _iter_cnf_texts(source):
             import tarfile
 
             errors += (tarfile.TarError,)
-            with tarfile.open(path) as tar:
+            with tarfile.open(path, "r:" if name.endswith(".tar") else "r:gz") as tar:
                 for member in sorted(tar.getmembers(), key=lambda m: m.name):
                     if member.isfile() and member.name.endswith(".cnf"):
                         yield Path(member.name).name, tar.extractfile(member).read().decode()
@@ -299,18 +300,24 @@ def execute(plan, algorithms=("sa", "placebo"), jobs=1, journal_path=None,
     `progress(rec, position, total)`, where position counts the plan's cells
     done so far, this one included; cells already in the journal are
     skipped, which makes an interrupted experiment resumable and lets the
-    seed pairing be audited.  A journaled cell of the plan whose seed is not
-    the one the plan derives for it (another master seed, or changed
-    instance content) raises ValueError before any cell runs.
+    seed pairing be audited.  A record counts only with its newline; a
+    malformed complete line raises.  A journaled cell of the plan whose seed
+    is not the one the plan derives for it (another master seed, or changed
+    instance content) raises ValueError before any cell runs, with the
+    journal as it was.  Otherwise an unterminated last line (a crash
+    mid-write) is cut off the file, and its cell runs again.
     A failed cell of the plan, under any algorithm in the journal, removes
     its run column from the matrices of every algorithm, so they stay
     rectangular and paired; each matrix's `run_indices` name the plan runs
     of the columns that stay.
     """
     algorithms = check_algorithms(algorithms)
-    done = {}
+    kept = b""  # the journal up to its last newline: its complete records
     if journal_path and Path(journal_path).exists():
-        done = {_key(rec): rec for rec in _read_journal(Path(journal_path))}
+        data = Path(journal_path).read_bytes()
+        kept = data[: data.rfind(b"\n") + 1]
+    done = {_key(rec): rec for rec in
+            (json.loads(line) for line in kept.decode().splitlines() if line.strip())}
 
     seeds = plan.seed_matrix()
     rows = {inst.instance_id: row for inst, row in zip(plan.instances, seeds)}
@@ -335,6 +342,8 @@ def execute(plan, algorithms=("sa", "placebo"), jobs=1, journal_path=None,
     total = len(plan.instances) * plan.n_runs * len(algorithms)
     sink = open(journal_path, "a") if journal_path else contextlib.nullcontext()
     with sink as journal:
+        if journal:  # past the seed check: a refused resume changes no byte
+            journal.truncate(len(kept))  # cut a torn last line
         for position, rec in enumerate(_records(cells, jobs), total - len(cells) + 1):
             done[_key(rec)] = rec
             if journal:
@@ -367,19 +376,6 @@ def execute(plan, algorithms=("sa", "placebo"), jobs=1, journal_path=None,
         for algo in algorithms
     }
     return matrices, failed
-
-
-def _read_journal(path):
-    """Records of a journal file.  A record is complete only with its
-    newline; an unterminated last line (a crash mid-write) is cut off the
-    file so its cell runs again.  A malformed complete line still raises."""
-    data = path.read_bytes()
-    end = data.rfind(b"\n") + 1
-    if end < len(data):
-        with open(path, "r+b") as fh:
-            fh.truncate(end)
-    lines = data[:end].decode().splitlines()
-    return [json.loads(line) for line in lines if line.strip()]
 
 
 # The files a run derives from its journal: `results_<algorithm>.csv`, then

@@ -274,6 +274,20 @@ class TestRun:
             assert Path(json.loads(out)[key]).read_bytes() == content
         assert without_wall_time(journal.read_text()) == without_wall_time(full)
 
+    def test_refused_resume_leaves_a_torn_journal_as_it_was(self, tmp_path, capsys):
+        config = make_config(tmp_path)
+        code, _, _ = run_cli(capsys, "run", "--config", str(config), "--seed", "1")
+        assert code == 0
+        journal = tmp_path / "out" / "journal.jsonl"
+        journal.write_bytes(journal.read_bytes()[:-20])  # a crash mid-write
+        torn = journal.read_bytes()
+        code, out, err = run_cli(
+            capsys, "run", "--config", str(config), "--seed", "2", "--resume"
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("experiment failed: journal cell (sa, ")
+        assert journal.read_bytes() == torn
+
     def test_resumed_progress_counts_the_cells_already_done(self, tmp_path, capsys):
         config = make_config(tmp_path)
         code, _, err = run_cli(capsys, "run", "--config", str(config))
@@ -836,6 +850,15 @@ class TestFetch:
         assert err.splitlines()[-1].startswith("fetch failed: [Errno 13] Permission denied")
         assert list(cache.iterdir()) == []
 
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:1/", "http://127.0.0.1:1/x.tar.gz?raw=1"])
+    def test_url_that_names_no_benchmark_file_exits_2(self, tmp_path, capsys, url):
+        # `http://…/` names no file: its download would go to the cache directory itself.
+        cache = write_toy_instances(tmp_path / "cache", per_group=1, groups=(6,))
+        code, out, err = run_cli(capsys, "fetch", url, "--cache-dir", str(cache),
+                                 "--no-validate")
+        assert (code, out, err) == (2, "", f"unsupported benchmark source: {url}\n")
+        assert not (cache / "manifest.json").exists()
+
 
 GOOD_CNF = b"p cnf 3 2\n1 -2 3 0\n-1 2 0\n"
 
@@ -930,6 +953,28 @@ def interrupted_run(tmp, mp):
     return ["run", "--config", str(make_config(tmp))]
 
 
+def run_in_tmp(tmp, mp, config, **files):
+    """argv of a `run` of the config text `config`, with `files` ({relative
+    path: bytes}) beside it in tmp, the working directory, so that an error
+    names its paths as given."""
+    mp.chdir(tmp)
+    for name, data in {"config.json": config.encode(), **files}.items():
+        Path(name).parent.mkdir(parents=True, exist_ok=True)
+        Path(name).write_bytes(data)
+    return ["run", "--config", "config.json", "--out", str(tmp / "out")]
+
+
+def config_of(benchmarks):
+    return json.dumps({"benchmarks": benchmarks, "out_dir": "out",
+                       "validate_phase_transition": False})
+
+
+def corrupt_archive_fetch(tmp, mp):
+    mp.chdir(tmp)
+    Path("bad.tar.gz").write_bytes(b"junk" * 50)
+    return ["fetch", "bad.tar.gz", "--cache-dir", str(tmp / "cache")]
+
+
 # case: (argv of the command given tmp_path and monkeypatch, exit code,
 # prefix of the last stderr line or None for an empty stderr)
 FAILURES = {
@@ -999,6 +1044,30 @@ FAILURES = {
         lambda tmp, mp: ["tune", "--config", str(make_config(tmp, params=RSM_START)),
                          "--phase", "rsm", "--out", existing_file(tmp)],
         1, "tune failed: [Errno 20] Not a directory: "),
+    "fetch-url-without-file": (
+        lambda tmp, mp: ["fetch", "http://127.0.0.1:1/", "--cache-dir", str(tmp / "cache")],
+        2, "unsupported benchmark source: http://127.0.0.1:1/"),
+    # Read as its suffix says: one error, not one per compression tried.
+    "fetch-corrupt-archive": (
+        corrupt_archive_fetch, 2, "ingest failed: bad.tar.gz: not a gzip file"),
+    "run-config-not-an-object": (
+        lambda tmp, mp: run_in_tmp(tmp, mp, "[]"),
+        2, "config error: config config.json is not a JSON object"),
+    "run-unsupported-source": (
+        lambda tmp, mp: run_in_tmp(tmp, mp, config_of("a.txt"), **{"a.txt": GOOD_CNF}),
+        2, "config error: unsupported benchmark source: a.txt"),
+    "run-missing-source": (
+        lambda tmp, mp: run_in_tmp(tmp, mp, config_of("a.cnf")),
+        2, "config error: unreadable benchmark source: a.cnf"),
+    "run-duplicate-instance-id": (
+        lambda tmp, mp: run_in_tmp(tmp, mp, config_of(["a", "b"]), **{
+            "a/f.cnf": GOOD_CNF, "b/f.cnf": GOOD_CNF.replace(b"-1 2", b"1 2")}),
+        2, "config error: duplicate instance id 'f'"),
+    # 20 instances per group all go to "train".
+    "run-empty-test-split": (
+        lambda tmp, mp: ["run", "--config", str(make_config(tmp, per_group=20, split="test")),
+                         "--out", str(tmp / "out")],
+        2, "config error: no instances left after filtering"),
     "fetch-cache-dir-existing-file": (
         lambda tmp, mp: ["fetch", str(write_toy_instances(tmp / "toy", per_group=1)),
                          "--cache-dir", existing_file(tmp), "--no-validate"],
@@ -1010,7 +1079,8 @@ FAILURES = {
 @pytest.mark.parametrize("case", list(FAILURES))
 def test_failure_contract(tmp_path, capsys, monkeypatch, case):
     """Each failure ends in its exit code and an empty stdout; stderr closes
-    with one line of the case's prefix and holds no traceback.  An exit-2
+    with one line of the case's prefix and holds no traceback; but for the
+    progress line of a download, that line is all of stderr.  An exit-2
     case creates no --out or --cache-dir."""
     make_argv, code, prefix = FAILURES[case]
     argv = make_argv(tmp_path, monkeypatch)
@@ -1024,5 +1094,5 @@ def test_failure_contract(tmp_path, capsys, monkeypatch, case):
         assert err == ""
     else:
         assert err.splitlines()[-1].startswith(prefix), err
-    if case.endswith("-existing-file"):
-        assert len(err.splitlines()) == 1
+        if case != "fetch-bad-url":  # which first prints `downloading …`
+            assert len(err.splitlines()) == 1, err

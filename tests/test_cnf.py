@@ -77,6 +77,14 @@ class TestParse:
 
 
 class TestFormulaInvariants:
+    def test_rejects_no_variables(self):
+        with pytest.raises(ValueError, match="num_vars must be positive"):
+            CnfFormula(0, ((1,),))
+
+    def test_rejects_no_clauses(self):
+        with pytest.raises(ValueError, match="formula must have at least one clause"):
+            CnfFormula(1, ())
+
     def test_rejects_empty_clause(self):
         with pytest.raises(ValueError):
             CnfFormula(num_vars=2, clauses=((1,), ()))

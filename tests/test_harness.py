@@ -96,6 +96,17 @@ class TestIngest:
         # The archive repeats the directory's content; digests dedup it.
         assert len(instances) == 4
 
+    def test_archive_is_read_as_its_suffix_says(self, tmp_path):
+        toy_dir = write_toy_instances(tmp_path / "dir", per_group=1)
+        for name, mode in (("plain.tar", "w"), ("gzipped.tar", "w:gz")):
+            with tarfile.open(tmp_path / name, mode) as tar:
+                for f in sorted(toy_dir.glob("*.cnf")):
+                    tar.add(f, arcname=f.name)
+        instances = ingest_benchmarks(tmp_path / "plain.tar", validate_phase_transition=False)
+        assert [inst.instance_id for inst in instances] == ["toy6-00", "toy8-00"]
+        with pytest.raises(ValueError, match=r"gzipped\.tar: "):
+            ingest_benchmarks(tmp_path / "gzipped.tar", validate_phase_transition=False)
+
     def test_deterministic_ordering(self):
         a = ingest_benchmarks(DATA_DIR)
         b = ingest_benchmarks(DATA_DIR)

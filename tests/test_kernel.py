@@ -321,6 +321,15 @@ def test_missing_compiler_raises_naming_it(kernel_cache, monkeypatch):
     assert list(_kernel.CACHE_DIR.iterdir()) == []
 
 
+def test_failing_compiler_raises_with_its_message(kernel_cache, monkeypatch):
+    stub = ["sh", "-c", 'echo "cc: no licence left" >&2; exit 1', "cc"]
+    monkeypatch.setattr(_kernel, "_compiler", lambda: stub)
+    with pytest.raises(RuntimeError) as info:
+        _kernel.load()
+    assert str(info.value) == "the C kernel cannot be built: cc: no licence left"
+    assert list(_kernel.CACHE_DIR.iterdir()) == []
+
+
 def test_kernel_load_is_outside_wall_time(kernel, monkeypatch):
     def slow_load():
         time.sleep(0.3)

@@ -43,19 +43,14 @@ FACTORS = {
 FACTOR_NAMES = tuple(FACTORS)
 
 
-@dataclass(frozen=True)
-class DesignMatrix:
-    coded_rows: tuple  # rows of 4 coded levels
-    decoded: tuple  # SolverParams per row (seed left at 0)
-
-
 # All-medium rows of the screen.  `estimate_effects` leaves them out, and
 # under common random numbers each reruns the same cells.
 CENTER_POINTS = 3
 
 
 def box_behnken_4():
-    """Four-factor Box-Behnken screening design, 27 rows.
+    """Four-factor Box-Behnken screening design: 27 (coded row, SolverParams)
+    pairs, each row 4 coded levels and its params' seed left at 0.
 
     For each of the 6 factor pairs, the four (+/-1, +/-1) combinations with
     the remaining two factors at their medium level; plus `CENTER_POINTS`
@@ -68,27 +63,25 @@ def box_behnken_4():
             row[i], row[j] = a, b
             rows.append(tuple(row))
     rows.extend([(0, 0, 0, 0)] * CENTER_POINTS)
-    decoded = tuple(
-        SolverParams(**{
+    return tuple(
+        (row, SolverParams(**{
             name: f.value(f.levels[c + 1]) for (name, f), c in zip(FACTORS.items(), row)
-        })
+        }))
         for row in rows
     )
-    return DesignMatrix(tuple(rows), decoded)
 
 
 def fractional_factorial_2_4_1(center):
     """8-run half-fraction of the 2^4 factorial with generator D = ABC
-    (resolution IV), centered on `center` with each factor's half-distance.
+    (resolution IV), centered on `center` with each factor's half-distance:
+    8 (coded row, SolverParams) pairs, as `box_behnken_4` gives.
 
     Main effects are clear of two-factor interactions, but the two-factor
     interactions are aliased in pairs: t0*alpha with m_steps*mni, t0*m_steps
     with alpha*mni, and t0*mni with alpha*m_steps."""
-    rows = tuple(
-        (a, b, c, a * b * c) for a, b, c in itertools.product((-1, 1), repeat=3)
-    )
-    decoded = []
-    for row in rows:
+    design = []
+    for a, b, c in itertools.product((-1, 1), repeat=3):
+        row = (a, b, c, a * b * c)
         values = {}
         for (name, f), coded in zip(FACTORS.items(), row):
             v = f.value(getattr(center, name) + coded * f.half_distance)
@@ -104,15 +97,8 @@ def fractional_factorial_2_4_1(center):
                     f"decoded {name}={v} outside validity bounds at row {row}"
                 )
             values[name] = v
-        decoded.append(SolverParams(**values))
-    return DesignMatrix(rows, tuple(decoded))
-
-
-@dataclass(frozen=True)
-class EffectReport:
-    intercept: float
-    main_effects: dict  # {factor name: effect}
-    interactions: dict  # {"t0+alpha": effect, ...}, one per factor pair
+        design.append((row, SolverParams(**values)))
+    return tuple(design)
 
 
 def _contrast(signs, responses):
@@ -123,22 +109,19 @@ def _contrast(signs, responses):
 
 
 def estimate_effects(design, responses):
-    """Balanced-contrast effect estimates from one response per design row.
+    """Balanced-contrast effect estimates from one response per row of
+    `design`: {"intercept": mean, "main_effects": {factor name: effect},
+    "interactions": {"t0+alpha": effect, ...}}, one interaction per factor
+    pair, as `screening_effects.json` and each `rsm_trace.json` step hold them.
 
     Main effect of a factor = mean response at its +1 rows minus at its -1
     rows; interactions use the product column the same way.  Center rows
     (all-zero coded) carry no contrast information and are excluded.
     """
     responses = [float(y) for y in responses]
-    if len(responses) != len(design.coded_rows):
-        raise ValueError(
-            f"{len(responses)} responses for {len(design.coded_rows)} design rows"
-        )
-    pairs = [
-        (row, y)
-        for row, y in zip(design.coded_rows, responses)
-        if any(c != 0 for c in row)
-    ]
+    if len(responses) != len(design):
+        raise ValueError(f"{len(responses)} responses for {len(design)} design rows")
+    pairs = [(row, y) for (row, _), y in zip(design, responses) if any(row)]
     rows = [row for row, _ in pairs]
     ys = [y for _, y in pairs]
     main = {
@@ -150,8 +133,7 @@ def estimate_effects(design, responses):
             _contrast([row[i] * row[j] for row in rows], ys)
         for i, j in itertools.combinations(range(4), 2)
     }
-    intercept = sum(ys) / len(ys)
-    return EffectReport(intercept=intercept, main_effects=main, interactions=interactions)
+    return {"intercept": sum(ys) / len(ys), "main_effects": main, "interactions": interactions}
 
 
 def _clamp(f, value):
@@ -179,27 +161,27 @@ def rsm_walk(start, evaluator, trace, budget_limit=5000, dead_band=0.0):
     center = start
     for _ in range(MAX_ITERATIONS):
         design = fractional_factorial_2_4_1(center)
-        responses = [float(evaluator(params)) for params in design.decoded]
+        responses = [float(evaluator(params)) for _, params in design]
         effects = estimate_effects(design, responses)
 
         def record(decision):
             trace.append({
                 "center": dataclasses.asdict(center),
-                "design_rows": [list(r) for r in design.coded_rows],
-                "row_params": [dataclasses.asdict(p) for p in design.decoded],
+                "design_rows": [list(row) for row, _ in design],
+                "row_params": [dataclasses.asdict(params) for _, params in design],
                 "responses": responses,
-                "main_effects": effects.main_effects,
-                "interactions": effects.interactions,
+                "main_effects": effects["main_effects"],
+                "interactions": effects["interactions"],
                 "decision": decision,
             })
 
-        if all(abs(v) <= dead_band for v in effects.main_effects.values()):
+        if all(abs(v) <= dead_band for v in effects["main_effects"].values()):
             record("stop: effects in dead band")
             break
 
         values = {}
         for name, f in FACTORS.items():
-            effect = effects.main_effects[name]
+            effect = effects["main_effects"][name]
             h = f.half_distance
             move = 0 if effect == 0 else (-h if effect > 0 else h)
             values[name] = _clamp(f, getattr(center, name) + move)

@@ -276,6 +276,32 @@ def _key(rec):
     return rec["algorithm"], rec["instance_id"], rec["run_index"]
 
 
+JOURNAL_KEYS = ("algorithm", "instance_id", "run_index", "seed")  # of every record
+
+
+def _journal_records(path, kept):
+    """{cell key: record} of `kept`, the journal's complete lines, blank
+    lines skipped; raises ValueError naming the journal and the line of one
+    that is not a JSON object with every key of `JOURNAL_KEYS`."""
+    done = {}
+    for number, line in enumerate(kept.split(b"\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:  # its lineno counts within the record
+            raise ValueError(f"{path}: line {number}: {exc.msg}: column {exc.colno}") from None
+        except ValueError as exc:  # bytes that are not UTF-8, an int too long to read
+            raise ValueError(f"{path}: line {number}: {exc}") from None
+        if not isinstance(rec, dict):
+            raise ValueError(f"{path}: line {number}: not a JSON object")
+        missing = [key for key in JOURNAL_KEYS if key not in rec]
+        if missing:
+            raise ValueError(f"{path}: line {number}: record without {', '.join(missing)}")
+        done[_key(rec)] = rec
+    return done
+
+
 def _records(cells, jobs):
     """The record of each cell, in order; `jobs` > 1 runs them on that many
     threads, or on one per cell where there are fewer cells.  The kernel
@@ -301,7 +327,8 @@ def execute(plan, algorithms=("sa", "placebo"), jobs=1, journal_path=None,
     done so far, this one included; cells already in the journal are
     skipped, which makes an interrupted experiment resumable and lets the
     seed pairing be audited.  A record counts only with its newline; a
-    malformed complete line raises.  A journaled cell of the plan whose seed
+    complete line that is not a record raises ValueError naming its line
+    number, with the journal as it was.  A journaled cell of the plan whose seed
     is not the one the plan derives for it (another master seed, or changed
     instance content) raises ValueError before any cell runs, with the
     journal as it was.  Otherwise an unterminated last line (a crash
@@ -316,8 +343,7 @@ def execute(plan, algorithms=("sa", "placebo"), jobs=1, journal_path=None,
     if journal_path and Path(journal_path).exists():
         data = Path(journal_path).read_bytes()
         kept = data[: data.rfind(b"\n") + 1]
-    done = {_key(rec): rec for rec in
-            (json.loads(line) for line in kept.decode().splitlines() if line.strip())}
+    done = _journal_records(journal_path, kept)
 
     seeds = plan.seed_matrix()
     rows = {inst.instance_id: row for inst, row in zip(plan.instances, seeds)}

@@ -206,39 +206,40 @@ def test_criterion_9_budget_parity_and_acceptance_rate(fixture_benchmarks):
 
 
 def test_criterion_10_doe_correctness():
-    bb = box_behnken_4()
+    bb = [row for row, _ in box_behnken_4()]
     bb_ok = (
-        len(bb.coded_rows) == 27
-        and sum(1 for r in bb.coded_rows if any(r)) == 24
-        and all(sum(1 for c in r if c != 0) <= 2 for r in bb.coded_rows)
+        len(bb) == 27
+        and sum(1 for r in bb if any(r)) == 24
+        and all(sum(1 for c in r if c != 0) <= 2 for r in bb)
     )
 
     center = SolverParams(t0=50.0, alpha=0.9, m_steps=20, mni=50)
     ff = fractional_factorial_2_4_1(center)
-    relation_ok = all(d == a * b * c for a, b, c, d in ff.coded_rows)
+    ff_rows = [row for row, _ in ff]
+    relation_ok = all(d == a * b * c for a, b, c, d in ff_rows)
     balance_ok = all(
-        [r[i] for r in ff.coded_rows].count(sign) == 4
+        [r[i] for r in ff_rows].count(sign) == 4
         for i in range(4)
         for sign in (-1, 1)
     )
     ortho_ok = all(
-        sum(r[i] * r[j] for r in ff.coded_rows) == 0
+        sum(r[i] * r[j] for r in ff_rows) == 0
         for i in range(4)
         for j in range(i + 1, 4)
     )
 
     coeffs = (1.5, -0.25, 0.75, -2.0)
     responses = [
-        0.3 + sum(c * x for c, x in zip(coeffs, row)) for row in ff.coded_rows
+        0.3 + sum(c * x for c, x in zip(coeffs, row)) for row in ff_rows
     ]
     effects = estimate_effects(ff, responses)
     planted_ok = all(
-        abs(effects.main_effects[name] - 2 * c) < 1e-12
+        abs(effects["main_effects"][name] - 2 * c) < 1e-12
         for name, c in zip(("t0", "alpha", "m_steps", "mni"), coeffs)
     )
-    interaction_responses = [row[0] * row[1] for row in ff.coded_rows]
+    interaction_responses = [row[0] * row[1] for row in ff_rows]
     inter = estimate_effects(ff, interaction_responses)
-    planted_ok = planted_ok and abs(inter.interactions["t0+alpha"] - 2) < 1e-12
+    planted_ok = planted_ok and abs(inter["interactions"]["t0+alpha"] - 2) < 1e-12
 
     ok = bb_ok and relation_ok and balance_ok and ortho_ok and planted_ok
     report(10, ok, f"bb={bb_ok} relation={relation_ok} balance={balance_ok} "

@@ -975,6 +975,23 @@ def corrupt_archive_fetch(tmp, mp):
     return ["fetch", "bad.tar.gz", "--cache-dir", str(tmp / "cache")]
 
 
+def resume_with_journal_line(line):
+    """The argv maker of a `run --resume` whose journal, from a finished run,
+    holds `line` as its line 3; tmp is the working directory, so that the
+    error names `out/journal.jsonl`."""
+    def make_argv(tmp, mp):
+        mp.chdir(tmp)
+        plan, _ = harness.ExperimentConfig.from_file(make_config(tmp)).build_plan()
+        journal = Path("out/journal.jsonl")
+        journal.parent.mkdir()
+        harness.execute(plan, journal_path=journal)
+        lines = journal.read_bytes().splitlines(keepends=True)
+        lines[2] = line + b"\n"
+        journal.write_bytes(b"".join(lines))
+        return ["run", "--config", "config.json", "--out", "out", "--resume"]
+    return make_argv
+
+
 # case: (argv of the command given tmp_path and monkeypatch, exit code,
 # prefix of the last stderr line or None for an empty stderr)
 FAILURES = {
@@ -1073,6 +1090,16 @@ FAILURES = {
                          "--cache-dir", existing_file(tmp), "--no-validate"],
         1, "fetch failed: [Errno 17] File exists: "),
     "keyboard-interrupt": (interrupted_run, 1, None),
+    # A bad complete journal line is named by its line in the journal.
+    "run-resume-malformed-journal-line": (
+        resume_with_journal_line(b'{"algorithm": "sa"'),
+        1, "experiment failed: out/journal.jsonl: line 3: Expecting ',' delimiter: column 19"),
+    "run-resume-empty-journal-record": (
+        resume_with_journal_line(b"{}"), 1, "experiment failed: out/journal.jsonl: line 3: "
+                                           "record without algorithm, instance_id, run_index, seed"),
+    "run-resume-journal-record-without-seed": (
+        resume_with_journal_line(b'{"algorithm": "sa", "instance_id": "toy6-00", "run_index": 1}'),
+        1, "experiment failed: out/journal.jsonl: line 3: record without seed"),
 }
 
 
@@ -1081,11 +1108,16 @@ def test_failure_contract(tmp_path, capsys, monkeypatch, case):
     """Each failure ends in its exit code and an empty stdout; stderr closes
     with one line of the case's prefix and holds no traceback; but for the
     progress line of a download, that line is all of stderr.  An exit-2
-    case creates no --out or --cache-dir."""
+    case creates no --out or --cache-dir, and a refused `--resume` leaves
+    its journal byte-identical."""
     make_argv, code, prefix = FAILURES[case]
     argv = make_argv(tmp_path, monkeypatch)
+    journal = tmp_path / "out" / "journal.jsonl"
+    before = journal.read_bytes() if "--resume" in argv else None
     got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (code, ""), err
+    if before is not None:
+        assert journal.read_bytes() == before
     for flag in ("--out", "--cache-dir"):
         if code == 2 and flag in argv:  # a refused input creates no output
             assert not Path(argv[argv.index(flag) + 1]).exists()

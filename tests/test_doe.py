@@ -18,24 +18,23 @@ START = SolverParams(t0=50.0, alpha=0.9, m_steps=20, mni=50)
 
 class TestBoxBehnken:
     def test_row_counts(self):
-        design = box_behnken_4()
-        assert len(design.coded_rows) == 27
-        edge = [r for r in design.coded_rows if any(r)]
-        center = [r for r in design.coded_rows if not any(r)]
+        rows = [row for row, _ in box_behnken_4()]
+        assert len(rows) == 27
+        edge = [r for r in rows if any(r)]
+        center = [r for r in rows if not any(r)]
         assert len(edge) == 24
         assert len(center) == 3
 
     def test_at_most_two_nonzero_coordinates(self):
-        for row in box_behnken_4().coded_rows:
+        for row, _ in box_behnken_4():
             assert sum(1 for c in row if c != 0) <= 2
 
     def test_center_decode_default_levels(self):
-        design = box_behnken_4()
-        center_params = design.decoded[-1]
+        _, center_params = box_behnken_4()[-1]
         assert center_params == SolverParams(t0=100.0, alpha=0.85, m_steps=10, mni=50)
 
     def test_relabeling_symmetry(self):
-        rows = box_behnken_4().coded_rows
+        rows = [row for row, _ in box_behnken_4()]
         base = Counter(rows)
         for perm in itertools.permutations(range(4)):
             permuted = Counter(tuple(row[i] for i in perm) for row in rows)
@@ -45,27 +44,27 @@ class TestBoxBehnken:
 class TestFractionalFactorial:
     def test_defining_relation(self):
         design = fractional_factorial_2_4_1(START)
-        assert len(design.coded_rows) == 8
-        for a, b, c, d in design.coded_rows:
+        assert len(design) == 8
+        for (a, b, c, d), _ in design:
             assert d == a * b * c
 
     def test_columns_balanced(self):
         design = fractional_factorial_2_4_1(START)
         for col in range(4):
-            values = [row[col] for row in design.coded_rows]
+            values = [row[col] for row, _ in design]
             assert values.count(-1) == 4 and values.count(1) == 4
 
     def test_columns_orthogonal(self):
         design = fractional_factorial_2_4_1(START)
         for i, j in itertools.combinations(range(4), 2):
-            assert sum(row[i] * row[j] for row in design.coded_rows) == 0
+            assert sum(row[i] * row[j] for row, _ in design) == 0
 
     def test_decoded_spans(self):
-        design = fractional_factorial_2_4_1(START)
-        assert {p.t0 for p in design.decoded} == {40.0, 60.0}
-        assert {round(p.alpha, 10) for p in design.decoded} == {0.86, 0.94}
-        assert {p.m_steps for p in design.decoded} == {15, 25}
-        assert {p.mni for p in design.decoded} == {40, 60}
+        decoded = [p for _, p in fractional_factorial_2_4_1(START)]
+        assert {p.t0 for p in decoded} == {40.0, 60.0}
+        assert {round(p.alpha, 10) for p in decoded} == {0.86, 0.94}
+        assert {p.m_steps for p in decoded} == {15, 25}
+        assert {p.mni for p in decoded} == {40, 60}
 
     def test_out_of_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -77,44 +76,44 @@ class TestFractionalFactorial:
 class TestEstimateEffects:
     def test_planted_main_effect(self):
         design = fractional_factorial_2_4_1(START)
-        responses = [row[0] for row in design.coded_rows]
+        responses = [row[0] for row, _ in design]
         report = estimate_effects(design, responses)
-        assert report.main_effects["t0"] == pytest.approx(2.0)
+        assert report["main_effects"]["t0"] == pytest.approx(2.0)
         for name in FACTOR_NAMES[1:]:
-            assert report.main_effects[name] == pytest.approx(0.0)
+            assert report["main_effects"][name] == pytest.approx(0.0)
 
     def test_constant_responses(self):
         design = fractional_factorial_2_4_1(START)
         report = estimate_effects(design, [3.5] * 8)
-        assert all(v == 0.0 for v in report.main_effects.values())
-        assert all(v == 0.0 for v in report.interactions.values())
-        assert report.intercept == 3.5
+        assert all(v == 0.0 for v in report["main_effects"].values())
+        assert all(v == 0.0 for v in report["interactions"].values())
+        assert report["intercept"] == 3.5
 
     def test_planted_interaction(self):
         design = fractional_factorial_2_4_1(START)
-        responses = [row[0] * row[1] for row in design.coded_rows]
+        responses = [row[0] * row[1] for row, _ in design]
         report = estimate_effects(design, responses)
-        assert report.interactions["t0+alpha"] == pytest.approx(2.0)
+        assert report["interactions"]["t0+alpha"] == pytest.approx(2.0)
         for name in FACTOR_NAMES:
-            assert report.main_effects[name] == pytest.approx(0.0)
+            assert report["main_effects"][name] == pytest.approx(0.0)
 
     def test_planted_linear_model_recovered_exactly(self):
         design = fractional_factorial_2_4_1(START)
         coeffs = (0.7, -1.2, 0.4, 2.5)
         responses = [
-            1.0 + sum(c * x for c, x in zip(coeffs, row)) for row in design.coded_rows
+            1.0 + sum(c * x for c, x in zip(coeffs, row)) for row, _ in design
         ]
         report = estimate_effects(design, responses)
         for name, c in zip(FACTOR_NAMES, coeffs):
-            assert report.main_effects[name] == pytest.approx(2 * c)
-        assert report.intercept == pytest.approx(1.0)
+            assert report["main_effects"][name] == pytest.approx(2 * c)
+        assert report["intercept"] == pytest.approx(1.0)
 
     def test_center_rows_excluded(self):
         design = box_behnken_4()
         # Center rows carry an outlier response; contrasts must not see it.
-        responses = [row[0] if any(row) else 99.0 for row in design.coded_rows]
+        responses = [row[0] if any(row) else 99.0 for row, _ in design]
         report = estimate_effects(design, responses)
-        assert report.main_effects["t0"] == pytest.approx(2.0)
+        assert report["main_effects"]["t0"] == pytest.approx(2.0)
 
     def test_count_mismatch(self):
         design = fractional_factorial_2_4_1(START)

@@ -327,7 +327,8 @@ class TestExecute:
         lines = journal.read_text().splitlines(keepends=True)
         lines[1] = lines[1][:10] + "\n"
         journal.write_text("".join(lines))
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(journal))}: line 2: Unterminated string"):
             execute(plan, journal_path=journal)
 
     def test_journal_confirms_seed_pairing(self, tmp_path):

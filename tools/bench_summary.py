@@ -9,7 +9,16 @@ side, and for each workload and metric the median, the quartiles and the
 number of runs.  With two sides, each metric also gets the number of pairs,
 the k-th run at a seed on one side with the k-th at that seed on the other,
 and how many of them the second side won, in the metric's direction from
-BENCHMARK.json.  Metrics a run did not measure are left out.
+BENCHMARK.json (a tie is won by neither); the move of the second side's
+median relative to the first's; the first side's quartile distance relative
+to its median; and the verdicts:
+
+- `gain_shown`: the second side won at least 9 of 10 pairs, and its median
+  beats the first's by more than the first's quartile distance;
+- `within_bound` (end-to-end metrics only): the second side's median is no
+  worse than the first's by more than the metric's bound in BENCHMARK.json.
+
+Metrics a run did not measure are left out.
 
     python3 tools/bench_summary.py pool_chunks \\
         --side parent ../parent/.perfbench_work/results \\
@@ -28,10 +37,11 @@ ROOT = Path(__file__).resolve().parents[1]
 STAMP_KEYS = ("python", "numpy", "nproc", "git_revision", "git_dirty")
 
 
-def directions():
-    """{metric: "higher" or "lower"} from BENCHMARK.json."""
+def metrics():
+    """{metric: its BENCHMARK.json entry}, with "better" ("higher" or
+    "lower") and, for an end-to-end metric, "bound"."""
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    return {m["name"]: m for m in bench["end_to_end"] + bench["per_layer"]}
 
 
 def load_side(results_dir):
@@ -66,9 +76,24 @@ def summary(samples):
             "runs": len(samples)}
 
 
+def verdict(metric, pairs, won, first, second):
+    """The pair entry of a metric: `won` of `pairs` went to the second side,
+    and `first` and `second` are the sides' summaries."""
+    sign = 1 if metric["better"] == "higher" else -1
+    gain = sign * (second["median"] - first["median"])  # > 0: the second is better
+    spread = first["q3"] - first["q1"]
+    entry = {"pairs": pairs, "second_better": won,
+             "median_move": (second["median"] - first["median"]) / first["median"],
+             "first_iqr": spread / first["median"],
+             "gain_shown": 10 * won >= 9 * pairs and gain > spread}
+    if "bound" in metric:
+        entry["within_bound"] = -gain <= metric["bound"] * abs(first["median"])
+    return entry
+
+
 def fold(sides):
     """The BENCH document of `sides`, a list of (name, results directory)."""
-    better = directions()
+    known = metrics()
     doc = {"sides": {}}
     loaded = []
     for name, results_dir in sides:
@@ -95,12 +120,15 @@ def fold(sides):
             for seed in first[workload].keys() & second[workload].keys():
                 for a, b in zip(first[workload][seed], second[workload][seed]):
                     for metric in a.keys() & b.keys():
-                        won = b[metric] > a[metric] if better[metric] == "higher" \
+                        won = b[metric] > a[metric] if known[metric]["better"] == "higher" \
                             else b[metric] < a[metric]
                         pairs, count = wins.get(metric, (0, 0))
                         wins[metric] = (pairs + 1, count + won)
+            summaries = [doc["sides"][name]["workloads"][workload]["metrics"]
+                         for name, _ in sides]
             doc["pairs"]["workloads"][workload] = {
-                metric: {"pairs": pairs, "second_better": count}
+                metric: verdict(known[metric], pairs, count,
+                                *(side[metric] for side in summaries))
                 for metric, (pairs, count) in sorted(wins.items())
             }
     return doc

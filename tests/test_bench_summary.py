@@ -88,11 +88,6 @@ def test_pairs_state_the_verdicts(tmp_path, change_of, won, gain_shown, within_b
                                     "within_bound": False}
 
 
-def test_median_move_is_relative_to_the_first_side(tmp_path):
-    pairs = fold_pairs(tmp_path, lambda i, a: 0.8 * a)
-    assert pairs["flip_call_vars_per_s"]["median_move"] == pytest.approx(-0.2)
-
-
 def test_a_side_of_mixed_revisions_is_refused(tmp_path):
     results = tmp_path / "results"
     write_record(results, "a.json", 1, 10.0)
